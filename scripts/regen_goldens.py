@@ -1,40 +1,25 @@
 """Regenerate the golden CLI fixtures under tests/golden/v1.
 
-Run from the repository root after an intentional output-format change:
+Each fixture is the stdout of the argv that tests/golden/v1/argv.json names
+for it; the CLI tests read the same table.  Run from the repository root
+after an intentional output-format change:
 
     python3 scripts/regen_goldens.py
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
 from rostcalc.cli import main
 
-FIXTURES = {
-    "params.json": ["params", "-p", "3", "-n", "2", "--format", "json"],
-    "params.csv": ["params", "-p", "3", "-n", "2", "--format", "csv"],
-    "chow.json": ["chow", "-p", "3", "-n", "2", "--method", "both",
-                  "--format", "json"],
-    "chow.csv": ["chow", "-p", "3", "-n", "2", "--method", "both",
-                 "--format", "csv"],
-    "motcoh.json": ["motcoh", "-p", "3", "-n", "2", "--row", "odd",
-                    "--j", "4", "--format", "json"],
-    "motcoh.csv": ["motcoh", "-p", "3", "-n", "2", "--row", "odd",
-                   "--j", "4", "--format", "csv"],
-    "eval.json": ["eval", "-p", "3", "-n", "2", "sigma @ sigma^2",
-                  "--format", "json"],
-    "eval.csv": ["eval", "-p", "3", "-n", "2", "sigma @ sigma^2",
-                 "--format", "csv"],
-}
-
-
 def run():
     root = pathlib.Path(__file__).resolve().parent.parent
     outdir = root / "tests" / "golden" / "v1"
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, argv in FIXTURES.items():
+    fixtures = json.loads((outdir / "argv.json").read_text())
+    for name, argv in fixtures.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)

@@ -1,7 +1,7 @@
 """Exact arithmetic in the integers localized at a prime p.
 
-Values are plain ``fractions.Fraction`` objects (aliased ``LocalInt``); a
-value lies in Z_(p) exactly when its denominator is coprime to p.
+Values are plain ``fractions.Fraction`` objects; a value lies in Z_(p)
+exactly when its denominator is coprime to p.
 ``Fraction`` already keeps the canonical form (reduced, positive
 denominator), so normalization is free; the p-coprimality of denominators
 is checked at the boundary of each operation that needs it.
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-LocalInt = Fraction
 
 INF = math.inf
 
@@ -96,28 +94,6 @@ def congruent_mod(x, y, p: int) -> bool:
     return diff.numerator % p == 0
 
 
-def binom(a: int, b: int) -> int:
-    """Exact binomial coefficient; 0 when b < 0, b > a, or a < 0."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def binom_mod(a: int, b: int, p: int) -> int:
-    """Binomial coefficient mod p by Lucas decomposition in base p."""
-    check_prime(p)
-    if a < 0 or b < 0 or b > a:
-        return 0
-    r = 1
-    while a or b:
-        a, ad = divmod(a, p)
-        b, bd = divmod(b, p)
-        if bd > ad:
-            return 0
-        r = r * math.comb(ad, bd) % p
-    return r
-
-
 def multinomial(parts) -> int:
     """Exact multinomial coefficient (sum(parts); parts)."""
     total, r = 0, 1
@@ -127,28 +103,8 @@ def multinomial(parts) -> int:
     return r
 
 
-def multinomial_mod(parts, p: int) -> int:
-    check_prime(p)
-    total, r = 0, 1
-    for q in parts:
-        total += q
-        r = r * binom_mod(total, q, p) % p
-    return r
-
-
 def require_unit(x, p: int) -> Fraction:
     x = as_local(x)
     if val(x, p) != 0:
         raise ValueError("expected a p-unit, got %s with val_%d = %s" % (x, p, val(x, p)))
     return x
-
-
-def unit_power(lam, n: int, p: int) -> Fraction:
-    """Exact lam**n for a p-unit lam.
-
-    If lam = 1 mod p, then val(lam**(p**r) - 1, p) >= r + 1; the witness
-    unit_power(4, 3, p=3) = 64 has val_3(63) = 2.
-    """
-    if n < 0:
-        raise ValueError("nonnegative exponent required")
-    return require_unit(lam, p) ** n

@@ -254,49 +254,41 @@ def cmd_verify(ns, params):
     return 0
 
 
-def _eval_value_doc(result):
+def _eval_table(result):
+    """The csv header, the csv rows and the json value of an eval result."""
     if isinstance(result, Corr):
-        return [{"i": i, "j": j, "coeff": str(v)}
-                for (i, j), v in result.items()]
-    if isinstance(result, ChowClass):
-        return [{"k": k, "coeff": str(v)} for k, v in result.items()]
-    if isinstance(result, EndTuple):
-        return [str(x) for x in result.entries]
-    if isinstance(result, bool):
-        return result
-    return str(result)
-
-
-def _eval_csv(result):
-    if isinstance(result, Corr):
-        return _csv_text(["i", "j", "coeff"],
-                         [[i, j, str(v)] for (i, j), v in result.items()])
-    if isinstance(result, ChowClass):
-        return _csv_text(["k", "coeff"],
-                         [[k, str(v)] for k, v in result.items()])
-    if isinstance(result, EndTuple):
-        return _csv_text(["index", "entry"],
-                         [[i, str(x)] for i, x in enumerate(result.entries)])
-    if isinstance(result, bool):
-        return _csv_text(["value"], [["true" if result else "false"]])
-    return _csv_text(["value"], [[str(result)]])
+        header = ["i", "j", "coeff"]
+        rows = [[i, j, str(v)] for (i, j), v in result.items()]
+    elif isinstance(result, ChowClass):
+        header = ["k", "coeff"]
+        rows = [[k, str(v)] for k, v in result.items()]
+    elif isinstance(result, EndTuple):
+        entries = [str(x) for x in result.entries]
+        return ["index", "entry"], list(enumerate(entries)), entries
+    elif isinstance(result, bool):
+        return ["value"], [["true" if result else "false"]], result
+    else:
+        return ["value"], [[str(result)]], str(result)
+    return header, rows, [dict(zip(header, row)) for row in rows]
 
 
 def cmd_eval(ns, params):
     ast = parse(ns.expr)
     result = evaluate(ast, params)
-    if ns.format == "json":
-        doc = _param_doc(params)
-        doc.update({"expr": to_source(ast), "type": value_type(result),
-                    "value": _eval_value_doc(result)})
-        _emit(_json_text(doc))
-    elif ns.format == "csv":
-        _emit(_eval_csv(result))
-    else:
+    if ns.format == "text":
         if isinstance(result, bool):
             _emit("true\n" if result else "false\n")
         else:
             _emit(f"{result}\n")
+        return 0
+    header, rows, value = _eval_table(result)
+    if ns.format == "json":
+        doc = _param_doc(params)
+        doc.update({"expr": to_source(ast), "type": value_type(result),
+                    "value": value})
+        _emit(_json_text(doc))
+    else:
+        _emit(_csv_text(header, rows))
     return 0
 
 

@@ -15,65 +15,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import as_local, binom, val
+from .arith import val
 from .endalg import EndTuple
-from .splitring import ChowClass, SymbolParams, _check_same_params
+from .splitring import ChowClass, SparseVec, SymbolParams
 
 
-class Corr:
-    """A correspondence in span{E(i,j) : 0 <= i, j <= p-1}."""
+class Corr(SparseVec):
+    """A correspondence in span{E(i,j) : 0 <= i, j <= p-1}, keyed by (i, j)."""
 
-    __slots__ = ("params", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, params: SymbolParams, coeffs=None):
-        self.params = params
-        top = params.p - 1
-        clean = {}
-        for (i, j), v in (coeffs or {}).items():
-            if not (0 <= i <= top and 0 <= j <= top):
-                raise ValueError("basis index (%r, %r) outside [0, %d]^2" % (i, j, top))
-            v = as_local(v)
-            if v != 0:
-                clean[(i, j)] = v
-        self._coeffs = clean
+    _ONE = (0, 0)
+
+    @staticmethod
+    def _check(key, top):
+        i, j = key
+        if not (0 <= i <= top and 0 <= j <= top):
+            raise ValueError("basis index (%r, %r) outside [0, %d]^2" % (i, j, top))
+
+    @staticmethod
+    def _term(key):
+        return "E(%d,%d)" % key
 
     def coeff(self, i: int, j: int) -> Fraction:
         return self._coeffs.get((i, j), Fraction(0))
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, Corr):
-            return NotImplemented
-        return self.params == other.params and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash((self.params, tuple(self.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, Corr):
-            return NotImplemented
-        _check_same_params(self, other)
-        out = dict(self._coeffs)
-        for ij, v in other._coeffs.items():
-            out[ij] = out.get(ij, Fraction(0)) + v
-        return Corr(self.params, out)
-
-    def __neg__(self):
-        return Corr(self.params, {ij: -v for ij, v in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Corr):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, scalar) -> "Corr":
-        s = as_local(scalar)
-        return Corr(self.params, {ij: s * v for ij, v in self._coeffs.items()})
 
     def __mul__(self, other):
         """Intersection product: E(i,j)*E(k,l) = E(i+k, j+l), truncated."""
@@ -81,7 +46,7 @@ class Corr:
             return self.scale(other)
         if not isinstance(other, Corr):
             return NotImplemented
-        _check_same_params(self, other)
+        self._check_params(other)
         top = self.params.p - 1
         out = {}
         for (i, j), u in self._coeffs.items():
@@ -90,19 +55,6 @@ class Corr:
                     key = (i + k, j + l)
                     out[key] = out.get(key, Fraction(0)) + u * v
         return Corr(self.params, out)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.scale(scalar)
-        return NotImplemented
-
-    def __pow__(self, r: int):
-        if not isinstance(r, int) or r < 0:
-            raise ValueError("nonnegative integer power required")
-        out = basis(self.params, 0, 0)
-        for _ in range(r):
-            out = out * self
-        return out
 
     def __matmul__(self, other):
         """beta @ alpha = compose(beta, alpha): alpha applied first."""
@@ -113,22 +65,6 @@ class Corr:
     def t(self) -> "Corr":
         return transpose(self)
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j), v in self.items():
-            term = "E(%d,%d)" % (i, j)
-            parts.append(term if v == 1 else "%s*%s" % (v, term))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "Corr(p=%d, %s)" % (self.params.p, self)
-
-
-def zero_corr(params: SymbolParams) -> Corr:
-    return Corr(params, {})
-
 
 def basis(params: SymbolParams, i: int, j: int) -> Corr:
     """The basis correspondence E(i, j) = H^i x H^j."""
@@ -137,7 +73,7 @@ def basis(params: SymbolParams, i: int, j: int) -> Corr:
 
 def compose(beta: Corr, alpha: Corr) -> Corr:
     """Composition (alpha first): middle exponents pair iff they sum to p-1."""
-    _check_same_params(beta, alpha)
+    beta._check_params(alpha)
     params = beta.params
     top = params.p - 1
     out = {}
@@ -152,11 +88,6 @@ def compose(beta: Corr, alpha: Corr) -> Corr:
 
 def transpose(alpha: Corr) -> Corr:
     return Corr(alpha.params, {(j, i): v for (i, j), v in alpha._coeffs.items()})
-
-
-def ring_power(alpha: Corr, r: int) -> Corr:
-    """r-fold intersection power (sigma**(p-1) is how rho is built)."""
-    return alpha**r
 
 
 def comp_power(alpha: Corr, r: int) -> Corr:
@@ -225,7 +156,7 @@ def sigma(params: SymbolParams) -> Corr:
 def rho(params: SymbolParams) -> Corr:
     """rho = sigma^{p-1} (intersection power); congruent mod p to the
     alternating sum of the E(i, p-1-i)."""
-    return ring_power(sigma(params), params.p - 1)
+    return sigma(params) ** (params.p - 1)
 
 
 def rost_projector(params: SymbolParams) -> Corr:
@@ -234,16 +165,6 @@ def rost_projector(params: SymbolParams) -> Corr:
     top = params.p - 1
     inv_e = 1 / params.e
     return Corr(params, {(i, top - i): inv_e for i in range(params.p)})
-
-
-def check_rhosigma(params: SymbolParams):
-    """Check compose(sigma, sigma^{p-1})/e == 1 x H + (p-1)*H x 1.
-
-    Returns (ok, witness) with witness the computed left side.
-    """
-    witness = compose(sigma(params), rho(params)).scale(1 / params.e)
-    expected = basis(params, 0, 1) + basis(params, 1, 0).scale(params.p - 1)
-    return witness == expected, witness
 
 
 def projector_iterate(params: SymbolParams, r: int):

@@ -100,10 +100,3 @@ def invert(t: EndTuple) -> EndTuple:
         if val(x, t.p) != 0:
             raise ValueError("not invertible: entry %s has val_%d = %s" % (x, t.p, val(x, t.p)))
     return EndTuple(t.p, tuple(1 / x for x in t.entries))
-
-
-def p_scale_is_rational(t: EndTuple) -> bool:
-    """Assertion helper: p*t is rational for any integral t."""
-    if any(val(x, t.p) < 0 for x in t.entries):
-        raise ValueError("entries must have val >= 0")
-    return is_rational(t.scale(t.p))

@@ -15,7 +15,7 @@ Grammar (ASCII):
 rational.  Rationals are literals q/r; division is not an operator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_local
@@ -33,7 +33,7 @@ from .corresp import (
     transpose,
 )
 from .endalg import EndTuple, invert, is_rational
-from .splitring import ChowClass, h_power, zero_class
+from .splitring import ChowClass, h_power
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Node:
     # | ComposePow | Atom | Call
     children: tuple
     value: object
-    pos: tuple  # (line, column)
+    pos: tuple = field(compare=False)  # (line, column); == ignores it
 
 
 class ExprSyntaxError(ValueError):
@@ -251,8 +251,8 @@ _OPS = {"Add": "+", "Sub": "-", "IntersectMul": "*", "Compose": "@"}
 
 
 def to_source(node):
-    """Render back to parseable text; parse(to_source(parse(s))) is
-    structurally parse(s)."""
+    """Render back to parseable text; parse(to_source(parse(s))) == parse(s)
+    (node equality ignores source positions)."""
     def go(n, parent):
         prec = _PREC[n.kind]
         if n.kind in _OPS:
@@ -280,14 +280,6 @@ def to_source(node):
         return f"({text})" if prec < parent else text
 
     return go(node, 0)
-
-
-def same_structure(a, b):
-    """Equality ignoring source positions."""
-    return (a.kind == b.kind and a.value == b.value
-            and len(a.children) == len(b.children)
-            and all(same_structure(x, y)
-                    for x, y in zip(a.children, b.children)))
 
 
 # --- evaluator -------------------------------------------------------------------------
@@ -339,7 +331,7 @@ def evaluate(node, params):
                         n.pos, f"E({i},{j}) outside [0, {p - 1}]^2")
                 return basis(params, i, j)
             k = n.value[1]
-            return h_power(params, k) if k <= p - 1 else zero_class(params)
+            return h_power(params, k) if k <= p - 1 else ChowClass(params)
         if kind == "Neg":
             v = rec(n.children[0])
             if isinstance(v, Fraction):

@@ -78,7 +78,7 @@ def enumerate_monomials(i, j, params):
     """All (m, k, eps) landing in bidegree (i, j); (0, 0) is the constant spot."""
     if (i, j) == (0, 0):
         return [CONSTANT_CLASS]
-    if i <= j:
+    if j < 0 or i <= j:
         raise ValueError(f"bidegree ({i}, {j}) outside classification range")
     found = []
     # every term in the j-formula is nonnegative, so m <= j and k <= j/(c-1);

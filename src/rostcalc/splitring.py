@@ -40,34 +40,35 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
     c = (p ** (n + 1) - 1) // (p - 1)
     d = p**n - 1
     # cross-checked identities
-    assert c == b * p + 1 == b + p**n
-    assert d == b * (p - 1) == c - b - 1
+    if not (c == b * p + 1 == b + p**n and d == b * (p - 1) == c - b - 1):
+        raise ValueError("broken identities between b, c, d at (%d, %d)" % (p, n))
     return SymbolParams(p=p, n=n, b=b, c=c, d=d, e=e)
 
 
-def _check_same_params(x, y):
-    if x.params != y.params:
-        raise ValueError("mismatched parameters: %r vs %r" % (x.params, y.params))
+class SparseVec:
+    """A Z_(p)-linear combination of basis elements, stored as a dict from
+    index to nonzero coefficient.
 
-
-class ChowClass:
-    """An element of span(1, H, ..., H^{p-1}) with Z_(p) coefficients."""
+    Subclasses fix the index (``_check`` validates one against the top
+    exponent p-1), the unit of the intersection product (``_ONE``), the
+    printed name of a basis element (``_term``), and the product itself.
+    """
 
     __slots__ = ("params", "_coeffs")
 
+    _ONE = None
+
     def __init__(self, params: SymbolParams, coeffs=None):
         self.params = params
+        top = params.p - 1
+        check = self._check
         clean = {}
-        for k, v in (coeffs or {}).items():
-            if not 0 <= k <= params.p - 1:
-                raise ValueError("H-exponent %r outside [0, %d]" % (k, params.p - 1))
+        for key, v in (coeffs or {}).items():
+            check(key, top)
             v = as_local(v)
             if v != 0:
-                clean[k] = v
+                clean[key] = v
         self._coeffs = clean
-
-    def coeff(self, k: int) -> Fraction:
-        return self._coeffs.get(k, Fraction(0))
 
     def items(self):
         return sorted(self._coeffs.items())
@@ -75,8 +76,12 @@ class ChowClass:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def _check_params(self, other):
+        if self.params != other.params:
+            raise ValueError("mismatched parameters: %r vs %r" % (self.params, other.params))
+
     def __eq__(self, other):
-        if not isinstance(other, ChowClass):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.params == other.params and self._coeffs == other._coeffs
 
@@ -84,32 +89,82 @@ class ChowClass:
         return hash((self.params, tuple(self.items())))
 
     def __add__(self, other):
-        if not isinstance(other, ChowClass):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        _check_same_params(self, other)
+        self._check_params(other)
         out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ChowClass(self.params, out)
+        for key, v in other._coeffs.items():
+            out[key] = out.get(key, Fraction(0)) + v
+        return type(self)(self.params, out)
 
     def __neg__(self):
-        return ChowClass(self.params, {k: -v for k, v in self._coeffs.items()})
+        return type(self)(self.params, {key: -v for key, v in self._coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, ChowClass):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def scale(self, scalar) -> "ChowClass":
+    def scale(self, scalar):
         s = as_local(scalar)
-        return ChowClass(self.params, {k: s * v for k, v in self._coeffs.items()})
+        return type(self)(self.params, {key: s * v for key, v in self._coeffs.items()})
+
+    def __rmul__(self, scalar):
+        if isinstance(scalar, (int, Fraction)):
+            return self.scale(scalar)
+        return NotImplemented
+
+    def __pow__(self, r: int):
+        """r-fold intersection power; the zeroth power is the unit."""
+        if not isinstance(r, int) or r < 0:
+            raise ValueError("nonnegative integer power required")
+        out = type(self)(self.params, {self._ONE: 1})
+        for _ in range(r):
+            out = out * self
+        return out
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for key, v in self.items():
+            name = self._term(key)
+            if not name:  # the unit prints as its coefficient alone
+                parts.append(str(v))
+            else:
+                parts.append(name if v == 1 else "%s*%s" % (v, name))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return "%s(p=%d, %s)" % (type(self).__name__, self.params.p, self)
+
+
+class ChowClass(SparseVec):
+    """An element of span(1, H, ..., H^{p-1}) with Z_(p) coefficients,
+    keyed by the H-exponent k."""
+
+    __slots__ = ()
+
+    _ONE = 0
+
+    @staticmethod
+    def _check(k, top):
+        if not 0 <= k <= top:
+            raise ValueError("H-exponent %r outside [0, %d]" % (k, top))
+
+    @staticmethod
+    def _term(k):
+        return "" if k == 0 else ("H" if k == 1 else "H^%d" % k)
+
+    def coeff(self, k: int) -> Fraction:
+        return self._coeffs.get(k, Fraction(0))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, ChowClass):
             return NotImplemented
-        _check_same_params(self, other)
+        self._check_params(other)
         top = self.params.p - 1
         out = {}
         for i, u in self._coeffs.items():
@@ -118,43 +173,9 @@ class ChowClass:
                     out[i + j] = out.get(i + j, Fraction(0)) + u * v
         return ChowClass(self.params, out)
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.scale(scalar)
-        return NotImplemented
-
-    def __pow__(self, r: int):
-        if not isinstance(r, int) or r < 0:
-            raise ValueError("nonnegative integer power required")
-        out = h_power(self.params, 0)
-        for _ in range(r):
-            out = out * self
-        return out
-
     def degree(self) -> Fraction:
         """e times the H^{p-1} coefficient (push-forward to a point)."""
         return self.params.e * self.coeff(self.params.p - 1)
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, v in self.items():
-            name = "1" if k == 0 else ("H" if k == 1 else "H^%d" % k)
-            if v == 1 and k > 0:
-                parts.append(name)
-            elif k == 0:
-                parts.append(str(v))
-            else:
-                parts.append("%s*%s" % (v, name))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "ChowClass(p=%d, %s)" % (self.params.p, self)
-
-
-def zero_class(params: SymbolParams) -> ChowClass:
-    return ChowClass(params, {})
 
 
 def h_power(params: SymbolParams, k: int) -> ChowClass:

@@ -29,7 +29,6 @@ from .corresp import (
     action_on_class,
     basis,
     compose,
-    ring_power,
     rho,
     rost_projector,
     sigma,
@@ -497,7 +496,7 @@ def _rationality_support(params):
     p = params.p
     ev = val(params.e, p)
     rho_top = rho(params).coeff(0, p - 1)
-    subtop = all(_proj1_push(ring_power(sigma(params), r)).is_zero()
+    subtop = all(_proj1_push(sigma(params) ** r).is_zero()
                  for r in range(1, p - 1))
     return (
         ("unit-pairing-degree", ev == 0, f"val(e) = {ev}"),
@@ -519,18 +518,19 @@ def audit_rationality(params, m, s):
     """
     p, b, d = params.p, params.b, params.d
     args = (("m", m), ("s", s))
-    if not steen_index_valid(s, p):
-        return AuditReport(
-            "rationality", params, args, _RAT_PREMISES, (), (),
-            conclusion=f"trivial: S^{s} = 0 since {p - 1} does not divide "
-                       f"{s} (nothing to audit)",
-            passed=True)
-    if s <= (m - b) * (p - 1):
+    valid = steen_index_valid(s, p)
+    if valid and s <= (m - b) * (p - 1):
         raise ValueError(
             f"bound not satisfied: need s > (m-b)(p-1) = {(m - b) * (p - 1)}"
             f", got s = {s}; nothing is claimed below the bound")
     if not 0 <= m <= d:
         raise ValueError(f"cycle dimension m = {m} outside [0, {d}]")
+    if not valid:
+        return AuditReport(
+            "rationality", params, args, _RAT_PREMISES, (), (),
+            conclusion=f"trivial: S^{s} = 0 since {p - 1} does not divide "
+                       f"{s} (nothing to audit)",
+            passed=True)
 
     support = _rationality_support(params)
     total = d + s
@@ -587,7 +587,7 @@ def audit_generators(params, m, r):
     dim_y = p ** m - 1
     args = (("m", m), ("r", r))
 
-    sigma_r = ring_power(sigma(params), r)
+    sigma_r = sigma(params) ** r
     witness = _proj1_push(sigma_r * basis(params, 0, p - 1 - r))
     expected = h_power(params, 0).scale(params.e)
     absorbed = compose(rost_projector(params), sigma_r) == sigma_r

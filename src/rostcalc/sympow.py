@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import val
+from .arith import reduce_mod, val
 from .reporting import CheckReport
 
 
@@ -32,11 +32,13 @@ class GradedMap:
     target: GradedModule
     matrix: tuple  # rows indexed by target basis, columns by source basis
     shift: int = 0  # twist added to source degrees
-    deg_shift: int = 0  # cohomological shift tag; no role in equality checks
 
     def __post_init__(self):
-        assert len(self.matrix) == self.target.dim
-        assert all(len(row) == self.source.dim for row in self.matrix)
+        if len(self.matrix) != self.target.dim or any(
+                len(row) != self.source.dim for row in self.matrix):
+            raise ValueError(
+                f"matrix of {self.source.name}->{self.target.name} is not "
+                f"{self.target.dim}x{self.source.dim}")
         for r, row in enumerate(self.matrix):
             for c, entry in enumerate(row):
                 if entry and self.target.twists[r] != self.source.twists[c] + self.shift:
@@ -46,10 +48,10 @@ class GradedMap:
                     )
 
     def __matmul__(self, other):
-        assert other.target.labels == self.source.labels, (
-            f"cannot compose {other.source.name}->{other.target.name} "
-            f"with {self.source.name}->{self.target.name}"
-        )
+        if other.target.labels != self.source.labels:
+            raise ValueError(
+                f"cannot compose {other.source.name}->{other.target.name} "
+                f"with {self.source.name}->{self.target.name}")
         rows = len(self.matrix)
         mid = len(other.matrix)
         cols = other.source.dim
@@ -63,32 +65,31 @@ class GradedMap:
         return GradedMap(
             other.source, self.target, prod,
             shift=self.shift + other.shift,
-            deg_shift=self.deg_shift + other.deg_shift,
         )
 
     def __sub__(self, other):
-        assert self.source.dim == other.source.dim and self.target.dim == other.target.dim
+        if self.source.dim != other.source.dim or self.target.dim != other.target.dim:
+            raise ValueError(
+                f"cannot subtract {other.source.name}->{other.target.name} "
+                f"from {self.source.name}->{self.target.name}")
         return GradedMap(
             self.source, self.target,
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.matrix, other.matrix)
             ),
-            shift=self.shift, deg_shift=self.deg_shift,
+            shift=self.shift,
         )
 
     def scale(self, c):
         return GradedMap(
             self.source, self.target,
             tuple(tuple(c * a for a in row) for row in self.matrix),
-            shift=self.shift, deg_shift=self.deg_shift,
+            shift=self.shift,
         )
 
     def same_matrix(self, other):
-        return all(
-            all(a == b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
+        return self.matrix == other.matrix
 
     def is_zero(self):
         return all(all(a == 0 for a in row) for row in self.matrix)
@@ -147,7 +148,7 @@ def build_morphisms(i, params):
     x = GradedMap(
         sym_prev, sym_i,
         _mat(i + 1, dim_prev, {(t + 1, t): 1 for t in range(dim_prev)}),
-        shift=params.b, deg_shift=2 * params.b,
+        shift=params.b,
     )
 
     # y_i = (1 (x) y) o a_i: e_t -> (i-t) e_t
@@ -282,14 +283,7 @@ def _rank_q(matrix):
 
 
 def _rank_p(matrix, p):
-    m = []
-    for row in matrix:
-        out = []
-        for a in row:
-            f = Fraction(a)
-            assert f.denominator % p != 0
-            out.append(f.numerator * pow(f.denominator, -1, p) % p)
-        m.append(out)
+    m = [[reduce_mod(a, p) for a in row] for row in matrix]
     rank, cols = 0, (len(m[0]) if m else 0)
     for c in range(cols):
         piv = next((r for r in range(rank, len(m)) if m[r][c] % p), None)

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the PASS lines.
 Every check is exact equality over Z_(p); there are no tolerances.
 """
 
+import json
 import pathlib
 import time
 from contextlib import contextmanager
@@ -206,24 +207,7 @@ def test_criterion_7_steenrod_audits():
 def test_criterion_8_cli_goldens(capsys, monkeypatch):
     with criterion(8, "CLI goldens byte-identical; exit codes 0/1/2 "
                       "including perturbed-e rejection"):
-        fixtures = {
-            "params.json": ["params", "-p", "3", "-n", "2",
-                            "--format", "json"],
-            "params.csv": ["params", "-p", "3", "-n", "2",
-                           "--format", "csv"],
-            "chow.json": ["chow", "-p", "3", "-n", "2", "--method", "both",
-                          "--format", "json"],
-            "chow.csv": ["chow", "-p", "3", "-n", "2", "--method", "both",
-                         "--format", "csv"],
-            "motcoh.json": ["motcoh", "-p", "3", "-n", "2", "--row", "odd",
-                            "--j", "4", "--format", "json"],
-            "motcoh.csv": ["motcoh", "-p", "3", "-n", "2", "--row", "odd",
-                           "--j", "4", "--format", "csv"],
-            "eval.json": ["eval", "-p", "3", "-n", "2", "sigma @ sigma^2",
-                          "--format", "json"],
-            "eval.csv": ["eval", "-p", "3", "-n", "2", "sigma @ sigma^2",
-                         "--format", "csv"],
-        }
+        fixtures = json.loads((GOLDEN / "argv.json").read_text())
         for name, argv in fixtures.items():
             code = cli_main(argv)
             out = capsys.readouterr().out

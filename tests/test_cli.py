@@ -1,5 +1,6 @@
 """Command-line interface: payloads, formats, exit codes, goldens."""
 
+import json
 import pathlib
 
 import pytest
@@ -12,22 +13,7 @@ from rostcalc.steenrod import AuditReport
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
 
-GOLDEN_ARGV = {
-    "params.json": ["params", "-p", "3", "-n", "2", "--format", "json"],
-    "params.csv": ["params", "-p", "3", "-n", "2", "--format", "csv"],
-    "chow.json": ["chow", "-p", "3", "-n", "2", "--method", "both",
-                  "--format", "json"],
-    "chow.csv": ["chow", "-p", "3", "-n", "2", "--method", "both",
-                 "--format", "csv"],
-    "motcoh.json": ["motcoh", "-p", "3", "-n", "2", "--row", "odd",
-                    "--j", "4", "--format", "json"],
-    "motcoh.csv": ["motcoh", "-p", "3", "-n", "2", "--row", "odd",
-                   "--j", "4", "--format", "csv"],
-    "eval.json": ["eval", "-p", "3", "-n", "2", "sigma @ sigma^2",
-                  "--format", "json"],
-    "eval.csv": ["eval", "-p", "3", "-n", "2", "sigma @ sigma^2",
-                 "--format", "csv"],
-}
+GOLDEN_ARGV = json.loads((GOLDEN / "argv.json").read_text())
 
 
 def run(capsys, *argv):
@@ -164,6 +150,14 @@ def test_motcoh_bidegree(capsys):
     assert "H^(9,4):" in out
 
 
+def test_motcoh_negative_weight_exit_2(capsys):
+    code, out, err = run(capsys, "motcoh", "-p", "3", "-n", "2",
+                         "--bidegree", "5", "-3")
+    assert code == 2
+    assert out == ""
+    assert "outside classification range" in err
+
+
 def test_motcoh_modes_conflict_exit_2(capsys):
     code, _, err = run(capsys, "motcoh", "-p", "3", "-n", "2", "--row",
                        "even", "--j", "1", "--bidegree", "2", "1")
@@ -245,6 +239,50 @@ def test_eval_scalar_csv(capsys):
     assert out == "value\n11/4\n"
 
 
+_EVAL_HEAD = ('{\n  "p": 3,\n  "n": 2,\n  "b": 4,\n  "c": 13,\n  "d": 8,\n'
+              '  "e": "1",\n')
+
+# the goldens cover only a correspondence; these pin every other value type
+EVAL_BYTES = [
+    ("1/2 * H^0 - H^2",
+     '  "expr": "1/2 * H^0 - H^2",\n  "type": "class",\n  "value": [\n'
+     '    {\n      "k": 0,\n      "coeff": "1/2"\n    },\n'
+     '    {\n      "k": 2,\n      "coeff": "-1"\n    }\n  ]\n}\n',
+     "k,coeff\n0,1/2\n2,-1\n"),
+    ("diag(rho)",
+     '  "expr": "diag(rho)",\n  "type": "class",\n  "value": []\n}\n',
+     "k,coeff\n"),
+    ("tuple(rho)",
+     '  "expr": "tuple(rho)",\n  "type": "tuple",\n  "value": [\n'
+     '    "1",\n    "-2",\n    "1"\n  ]\n}\n',
+     "index,entry\n0,1\n1,-2\n2,1\n"),
+    ("rational(tuple(pi))",
+     '  "expr": "rational(tuple(pi))",\n  "type": "boolean",\n'
+     '  "value": true\n}\n',
+     "value\ntrue\n"),
+    ("rational(tuple(E(0,2)))",
+     '  "expr": "rational(tuple(E(0,2)))",\n  "type": "boolean",\n'
+     '  "value": false\n}\n',
+     "value\nfalse\n"),
+    ("mult(rho) - 5/7",
+     '  "expr": "mult(rho) - 5/7",\n  "type": "scalar",\n'
+     '  "value": "2/7"\n}\n',
+     "value\n2/7\n"),
+]
+
+
+@pytest.mark.parametrize("expr,json_tail,csv_out", EVAL_BYTES)
+def test_eval_json_csv_bytes_by_type(expr, json_tail, csv_out, capsys):
+    code, out, _ = run(capsys, "eval", "-p", "3", "-n", "2", expr,
+                       "--format", "json")
+    assert code == 0
+    assert out == _EVAL_HEAD + json_tail
+    code, out, _ = run(capsys, "eval", "-p", "3", "-n", "2", expr,
+                       "--format", "csv")
+    assert code == 0
+    assert out == csv_out
+
+
 def test_eval_parse_error_exit_2(capsys):
     code, out, err = run(capsys, "eval", "-p", "3", "-n", "2", "E(1,")
     assert code == 2
@@ -287,6 +325,15 @@ def test_audit_below_bound_exit_2(capsys):
                        "--rationality", "-m", "8", "-s", "2")
     assert code == 2
     assert "bound not satisfied" in err
+
+
+def test_audit_m_out_of_range_with_invalid_s_exit_2(capsys):
+    # s = 1 is no Steenrod index at p = 3; m is checked before that
+    code, out, err = run(capsys, "audit", "-p", "3", "-n", "2",
+                         "--rationality", "-m", "999", "-s", "1")
+    assert code == 2
+    assert out == ""
+    assert "m = 999 outside [0, 8]" in err
 
 
 def test_audit_mode_flag_mismatch_exit_2(capsys):

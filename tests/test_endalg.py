@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rostcalc.endalg import EndTuple, identity, invert, is_rational, p_scale_is_rational
+from rostcalc.endalg import EndTuple, identity, invert, is_rational
 
 PRIMES = [2, 3, 5, 7]
 
@@ -37,11 +37,12 @@ def test_invert_examples():
 
 
 def test_p_scale():
-    assert p_scale_is_rational(EndTuple(3, (0, 1, 2)))
-    assert p_scale_is_rational(identity(5))
-    assert p_scale_is_rational(EndTuple(5, (1, 2, 3, 4, 0)))
-    with pytest.raises(ValueError):
-        p_scale_is_rational(EndTuple(3, (Fraction(1, 3), 0, 0)))
+    # p*t is rational for any integral t ...
+    assert is_rational(EndTuple(3, (0, 1, 2)).scale(3))
+    assert is_rational(identity(5).scale(5))
+    assert is_rational(EndTuple(5, (1, 2, 3, 4, 0)).scale(5))
+    # ... but not without integrality
+    assert not is_rational(EndTuple(3, (Fraction(1, 3), 0, 0)).scale(3))
 
 
 @pytest.mark.parametrize("p", PRIMES)

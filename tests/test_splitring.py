@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rostcalc.splitring import ChowClass, h_power, make_params, zero_class
+from rostcalc.splitring import ChowClass, h_power, make_params
 
 
 def test_params_examples():
@@ -108,10 +108,10 @@ def test_exponent_bounds():
         ChowClass(pr, {3: 1})
     with pytest.raises(ValueError):
         ChowClass(pr, {-1: 1})
-    assert zero_class(pr).is_zero()
+    assert ChowClass(pr).is_zero()
 
 
 def test_str():
     pr = make_params(3, 2)
-    assert str(zero_class(pr)) == "0"
+    assert str(ChowClass(pr)) == "0"
     assert str(h_power(pr, 2) + h_power(pr, 1).scale(2)) == "2*H + H^2"

@@ -53,6 +53,27 @@ def test_twist_homogeneity_enforced():
         GradedMap(src, tgt, ((0, 1), (0, 0)))  # e_1 -> e_0 drops a twist
 
 
+def test_shape_checks_raise_value_error():
+    pr = params_for(3)
+    one, two = sym_module(0, pr), sym_module(1, pr)
+    with pytest.raises(ValueError, match="is not 2x2"):
+        GradedMap(two, two, ((1, 0),))  # one row short
+    with pytest.raises(ValueError, match="is not 2x2"):
+        GradedMap(two, two, ((1,), (0,)))  # one column short
+    with pytest.raises(ValueError, match="cannot compose"):
+        identity_map(one) @ identity_map(two)
+    with pytest.raises(ValueError, match="cannot subtract"):
+        identity_map(two) - identity_map(one)
+
+
+def test_same_matrix_compares_shapes():
+    pr = params_for(3)
+    id1, id2 = identity_map(sym_module(0, pr)), identity_map(sym_module(1, pr))
+    assert not id2.same_matrix(id1)
+    assert not id1.same_matrix(id2)
+    assert id2.same_matrix(id2.scale(1))
+
+
 # --- individual morphism matrices ----------------------------------------
 
 
@@ -254,7 +275,6 @@ def test_composite_shift_adds(p, i):
     maps = build_morphisms(idx, pr)
     comp = maps["y"] @ maps["x"]
     assert comp.shift == pr.b
-    assert comp.deg_shift == maps["x"].deg_shift
 
 
 def test_all_identity_reports_over_grid():
