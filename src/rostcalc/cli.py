@@ -13,10 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import motcoh, rostchow, steenrod
-from .corresp import Corr
-from .endalg import EndTuple
-from .exprlang import evaluate, parse, to_source, value_type
-from .splitring import ChowClass, make_params
+from .exprlang import VALUE_TYPES, evaluate, parse, to_source
+from .splitring import make_params
 from .verify import run_suite
 
 FORMATS = ("text", "json", "csv")
@@ -255,21 +253,13 @@ def cmd_verify(ns, params):
 
 
 def _eval_table(result):
-    """The csv header, the csv rows and the json value of an eval result."""
-    if isinstance(result, Corr):
-        header = ["i", "j", "coeff"]
-        rows = [[i, j, str(v)] for (i, j), v in result.items()]
-    elif isinstance(result, ChowClass):
-        header = ["k", "coeff"]
-        rows = [[k, str(v)] for k, v in result.items()]
-    elif isinstance(result, EndTuple):
-        entries = [str(x) for x in result.entries]
-        return ["index", "entry"], list(enumerate(entries)), entries
-    elif isinstance(result, bool):
-        return ["value"], [["true" if result else "false"]], result
-    else:
-        return ["value"], [[str(result)]], str(result)
-    return header, rows, [dict(zip(header, row)) for row in rows]
+    """The type name, the csv header, the csv rows and the json value of
+    an eval result."""
+    name, header, rows, json_value = VALUE_TYPES[type(result)]
+    rows = rows(result)
+    if json_value is None:
+        return name, header, rows, [dict(zip(header, row)) for row in rows]
+    return name, header, rows, json_value(result)
 
 
 def cmd_eval(ns, params):
@@ -281,11 +271,10 @@ def cmd_eval(ns, params):
         else:
             _emit(f"{result}\n")
         return 0
-    header, rows, value = _eval_table(result)
+    name, header, rows, value = _eval_table(result)
     if ns.format == "json":
         doc = _param_doc(params)
-        doc.update({"expr": to_source(ast), "type": value_type(result),
-                    "value": value})
+        doc.update({"expr": to_source(ast), "type": name, "value": value})
         _emit(_json_text(doc))
     else:
         _emit(_csv_text(header, rows))

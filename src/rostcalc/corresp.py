@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .arith import val
 from .endalg import EndTuple
-from .splitring import ChowClass, SparseVec, SymbolParams
+from .splitring import ChowClass, SparseVec, SymbolParams, repeated_squaring
 
 
 class Corr(SparseVec):
@@ -62,9 +62,6 @@ class Corr(SparseVec):
             return NotImplemented
         return compose(self, other)
 
-    def t(self) -> "Corr":
-        return transpose(self)
-
 
 def basis(params: SymbolParams, i: int, j: int) -> Corr:
     """The basis correspondence E(i, j) = H^i x H^j."""
@@ -94,10 +91,7 @@ def comp_power(alpha: Corr, r: int) -> Corr:
     """r-fold composition power, r >= 1 (the span has no identity)."""
     if not isinstance(r, int) or r < 1:
         raise ValueError("composition power requires an integer exponent >= 1")
-    out = alpha
-    for _ in range(r - 1):
-        out = compose(out, alpha)
-    return out
+    return repeated_squaring(alpha, r, compose)
 
 
 def mult(alpha: Corr) -> Fraction:

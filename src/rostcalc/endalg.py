@@ -45,10 +45,13 @@ class EndTuple:
         self._check(other)
         return EndTuple(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
+    def __neg__(self):
+        return self.scale(-1)
+
     def __sub__(self, other):
         if not isinstance(other, EndTuple):
             return NotImplemented
-        return self + other.scale(-1)
+        return self + (-other)
 
     def __pow__(self, r: int):
         """Entrywise power: composition of diagonal endomorphisms."""

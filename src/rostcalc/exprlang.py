@@ -2,8 +2,7 @@
 
 Grammar (ASCII):
 
-    expr    := add
-    add     := mul { ("+" | "-") mul }
+    expr    := mul { ("+" | "-") mul }
     mul     := unary { "*" unary | "@" unary }
     unary   := "-" unary | postfix
     postfix := atom { "^" INT | "^@" INT }
@@ -13,27 +12,23 @@ Grammar (ASCII):
 "*" is the intersection product, "@" composition, "^" intersection power,
 "^@" composition power.  Functions: t, mult, diag, deg, act, tuple, inv,
 rational.  Rationals are literals q/r; division is not an operator.
+Nesting (parentheses, calls, unary minus) and the depth of the expression
+tree are each at most MAX_DEPTH; deeper input is a syntax error.
 """
 
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_local
-from .corresp import (
-    Corr,
-    action_on_class,
-    basis,
-    comp_power,
-    diag_pullback,
-    mult,
-    rho,
-    rost_projector,
-    sigma,
-    to_tuple,
-    transpose,
-)
+from .corresp import (Corr, action_on_class, basis, comp_power, diag_pullback,
+                      mult, rho, rost_projector, sigma, to_tuple, transpose)
 from .endalg import EndTuple, invert, is_rational
 from .splitring import ChowClass, h_power
+
+MAX_DEPTH = 100
+_TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
 
 
 @dataclass(frozen=True)
@@ -42,15 +37,6 @@ class Token:
     lexeme: str
     line: int
     column: int
-
-
-@dataclass(frozen=True)
-class Node:
-    kind: str  # Add | Sub | Neg | IntersectMul | Compose | IntersectPow
-    # | ComposePow | Atom | Call
-    children: tuple
-    value: object
-    pos: tuple = field(compare=False)  # (line, column); == ignores it
 
 
 class ExprSyntaxError(ValueError):
@@ -67,9 +53,101 @@ class EvalError(ValueError):
             f"eval error at line {self.line} column {self.column}: {message}")
 
 
+@dataclass(frozen=True)
+class Node:
+    kind: str  # Atom | Call | the kind of an entry of _OPERATORS
+    children: tuple
+    value: object
+    pos: tuple = field(compare=False)  # (line, column); == ignores it
+    depth: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # evaluate and to_source recurse once per level
+        depth = 1 + max((c.depth for c in self.children), default=0)
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(*self.pos, _TOO_DEEP)
+        object.__setattr__(self, "depth", depth)
+
+
+# --- value types, operators and functions --------------------------------------
+
+# Python type -> (name, csv header, csv rows of a value, json value of a
+# value).  A json value of None stands for one record per csv row.
+VALUE_TYPES = {
+    Corr: ("correspondence", ("i", "j", "coeff"),
+           lambda v: [[i, j, str(c)] for (i, j), c in v.items()], None),
+    ChowClass: ("class", ("k", "coeff"),
+                lambda v: [[k, str(c)] for k, c in v.items()], None),
+    EndTuple: ("tuple", ("index", "entry"),
+               lambda v: list(enumerate(str(x) for x in v.entries)),
+               lambda v: [str(x) for x in v.entries]),
+    bool: ("boolean", ("value",), lambda v: [["true" if v else "false"]],
+           bool),
+    Fraction: ("scalar", ("value",), lambda v: [[str(v)]], str),
+}
+
+
+def value_type(v):
+    return VALUE_TYPES[type(v)][0]
+
+
+def _compose_power(v, r):
+    """r-fold composition; on tuples it is the entrywise power."""
+    if isinstance(v, Corr):
+        return comp_power(v, r)
+    if isinstance(v, EndTuple):
+        return v ** r
+    raise TypeError
+
+
+# The lexeme, the node kind, the precedence (1-2 binary, 3 prefix, 4
+# postfix with an INT exponent), the Python operator that evaluates it,
+# and the error text for operand types it does not support.
+_Op = namedtuple("_Op", "lexeme kind prec apply error")
+_OPERATORS = (
+    _Op("+", "Add", 1, operator.add, "cannot add {} and {}"),
+    _Op("-", "Sub", 1, operator.sub, "cannot subtract {} and {}"),
+    _Op("*", "IntersectMul", 2, operator.mul, "cannot multiply {} and {}"),
+    _Op("@", "Compose", 2, operator.matmul,
+        "composition requires two correspondences, got {} and {}"),
+    _Op("-", "Neg", 3, operator.neg, "cannot negate {}"),
+    _Op("^", "IntersectPow", 4, operator.pow, "cannot raise {} to a power"),
+    _Op("^@", "ComposePow", 4, _compose_power,
+        "composition power undefined for {}"),
+)
+_KINDS = {op.kind: op for op in _OPERATORS}
+_BINARY = {op.lexeme: op for op in _OPERATORS if op.prec < 3}
+_POSTFIX = {op.lexeme: op for op in _OPERATORS if op.prec > 3}
+_ATOM_PREC = 5
+
+
+def _act(alpha, k):
+    if not isinstance(k, Fraction) or k.denominator != 1:
+        raise ValueError("act() exponent must be an integer")
+    return action_on_class(alpha, int(k))
+
+
+# name -> (number of arguments, type of the first argument, implementation).
+# A ValueError of the implementation becomes an EvalError at the call.
+_FUNCTIONS = {
+    "t": (1, Corr, transpose),
+    "mult": (1, Corr, mult),
+    "diag": (1, Corr, diag_pullback),
+    "deg": (1, ChowClass, ChowClass.degree),
+    "act": (2, Corr, _act),
+    "tuple": (1, Corr, to_tuple),
+    "inv": (1, EndTuple, invert),
+    "rational": (1, EndTuple, is_rational),
+}
+
+_NAMES = {"sigma": sigma, "rho": rho, "pi": rost_projector}
+
+
 # --- tokenizer -----------------------------------------------------------------
 
-_SINGLE_PUNCT = "+-*@^(),"
+# operator lexemes and grammar punctuation; none is longer than two
+# characters, and a two-character one ("^@") wins over its first character
+_PUNCT = {op.lexeme for op in _OPERATORS} | {"(", ")", ","}
 
 
 def tokenize(src):
@@ -103,14 +181,12 @@ def tokenize(src):
                 tokens.append(Token("RATIONAL", src[i:j], line, start))
             else:
                 tokens.append(Token("INT", src[i:j], line, start))
-        elif src.startswith("^@", i):
-            j = i + 2
-            tokens.append(Token("PUNCT", "^@", line, start))
-        elif ch in _SINGLE_PUNCT:
-            j = i + 1
-            tokens.append(Token("PUNCT", ch, line, start))
         else:
-            raise ExprSyntaxError(line, col, f"a token, not {ch!r}")
+            lexeme = src[i:i + 2] if src[i:i + 2] in _PUNCT else ch
+            if lexeme not in _PUNCT:
+                raise ExprSyntaxError(line, col, f"a token, not {ch!r}")
+            j = i + len(lexeme)
+            tokens.append(Token("PUNCT", lexeme, line, start))
         col += j - i
         i = j
     tokens.append(Token("EOF", "", line, col))
@@ -119,7 +195,6 @@ def tokenize(src):
 
 # --- parser -----------------------------------------------------------------------
 
-_NAMES = ("sigma", "rho", "pi")
 _ATOM_EXPECT = ("sigma, rho, pi, E(i,j), H^k, a number, "
                 "a function call, or '('")
 
@@ -128,6 +203,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -155,128 +231,106 @@ class _Parser:
             self.fail("INT")
         return int(self.advance().lexeme)
 
-    def parse_expr(self):
-        node = self.parse_mul()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance()
-            right = self.parse_mul()
-            kind = "Add" if op.lexeme == "+" else "Sub"
-            node = Node(kind, (node, right), None, (op.line, op.column))
-        return node
-
-    def parse_mul(self):
+    def parse_binary(self, level=1):
+        """Binary operators of precedence >= level, left-associative."""
         node = self.parse_unary()
-        while self.at_punct("*") or self.at_punct("@"):
-            op = self.advance()
-            right = self.parse_unary()
-            kind = "IntersectMul" if op.lexeme == "*" else "Compose"
-            node = Node(kind, (node, right), None, (op.line, op.column))
-        return node
+        while True:
+            tok = self.peek()
+            op = _BINARY.get(tok.lexeme)  # only PUNCT lexemes are keys
+            if op is None or op.prec < level:
+                return node
+            self.advance()
+            right = self.parse_binary(op.prec + 1)
+            node = Node(op.kind, (node, right), None, (tok.line, tok.column))
 
     def parse_unary(self):
+        if self.nesting == MAX_DEPTH:
+            self.fail(_TOO_DEEP)
+        self.nesting += 1
+        tok = self.peek()
         if self.at_punct("-"):
-            op = self.advance()
-            child = self.parse_unary()
-            return Node("Neg", (child,), None, (op.line, op.column))
-        return self.parse_postfix()
+            self.advance()
+            node = Node("Neg", (self.parse_unary(),), None,
+                        (tok.line, tok.column))
+        else:
+            node = self.parse_postfix()
+        self.nesting -= 1
+        return node
 
     def parse_postfix(self):
         node = self.parse_atom()
-        while True:
-            if self.at_punct("^@"):
-                op = self.advance()
-                node = Node("ComposePow", (node,), self.expect_int(),
-                            (op.line, op.column))
-            elif self.at_punct("^"):
-                op = self.advance()
-                node = Node("IntersectPow", (node,), self.expect_int(),
-                            (op.line, op.column))
-            else:
-                return node
+        while self.peek().lexeme in _POSTFIX:
+            tok = self.advance()
+            node = Node(_POSTFIX[tok.lexeme].kind, (node,),
+                        self.expect_int(), (tok.line, tok.column))
+        return node
 
     def parse_atom(self):
-        tok = self.peek()
-        pos = (tok.line, tok.column)
+        tok = self.advance()
         if tok.kind == "INT" or tok.kind == "RATIONAL":
-            self.advance()
-            return Node("Atom", (), ("scalar", Fraction(tok.lexeme)), pos)
-        if self.at_punct("("):
-            self.advance()
-            node = self.parse_expr()
+            value = ("scalar", Fraction(tok.lexeme))
+        elif tok.lexeme == "(":
+            node = self.parse_binary()
             self.expect_punct(")")
             return node
-        if tok.kind == "IDENT":
-            if tok.lexeme in _NAMES:
-                self.advance()
-                return Node("Atom", (), ("name", tok.lexeme), pos)
-            if tok.lexeme == "E":
-                self.advance()
-                self.expect_punct("(")
-                i = self.expect_int()
-                self.expect_punct(",")
-                j = self.expect_int()
-                self.expect_punct(")")
-                return Node("Atom", (), ("E", i, j), pos)
-            if tok.lexeme == "H":
-                self.advance()
-                self.expect_punct("^")
-                k = self.expect_int()
-                return Node("Atom", (), ("H", k), pos)
-            self.advance()
+        elif tok.kind != "IDENT":
+            raise ExprSyntaxError(tok.line, tok.column, _ATOM_EXPECT)
+        elif tok.lexeme in _NAMES:
+            value = ("name", tok.lexeme)
+        elif tok.lexeme == "E":
             self.expect_punct("(")
-            args = [self.parse_expr()]
+            i = self.expect_int()
+            self.expect_punct(",")
+            value = ("E", i, self.expect_int())
+            self.expect_punct(")")
+        elif tok.lexeme == "H":
+            self.expect_punct("^")
+            value = ("H", self.expect_int())
+        else:
+            self.expect_punct("(")
+            args = [self.parse_binary()]
             while self.at_punct(","):
                 self.advance()
-                args.append(self.parse_expr())
+                args.append(self.parse_binary())
             self.expect_punct(")")
-            return Node("Call", tuple(args), tok.lexeme, pos)
-        self.fail(_ATOM_EXPECT)
-
-    def parse_all(self):
-        node = self.parse_expr()
-        if self.peek().kind != "EOF":
-            self.fail("an operator or end of input")
-        return node
+            return Node("Call", tuple(args), tok.lexeme,
+                        (tok.line, tok.column))
+        return Node("Atom", (), value, (tok.line, tok.column))
 
 
 def parse(src):
-    return _Parser(tokenize(src)).parse_all()
+    parser = _Parser(tokenize(src))
+    node = parser.parse_binary()
+    if parser.peek().kind != "EOF":
+        parser.fail("an operator or end of input")
+    return node
 
 
 # --- printer ------------------------------------------------------------------------
 
-_PREC = {"Add": 1, "Sub": 1, "IntersectMul": 2, "Compose": 2, "Neg": 3,
-         "IntersectPow": 4, "ComposePow": 4, "Atom": 5, "Call": 5}
-_OPS = {"Add": "+", "Sub": "-", "IntersectMul": "*", "Compose": "@"}
+_ATOM_SOURCE = {"E": "E({},{})", "H": "H^{}"}  # a scalar or name prints as is
 
 
 def to_source(node):
     """Render back to parseable text; parse(to_source(parse(s))) == parse(s)
     (node equality ignores source positions)."""
     def go(n, parent):
-        prec = _PREC[n.kind]
-        if n.kind in _OPS:
-            text = (f"{go(n.children[0], prec)} {_OPS[n.kind]} "
-                    f"{go(n.children[1], prec + 1)}")
-        elif n.kind == "Neg":
-            text = f"-{go(n.children[0], prec)}"
-        elif n.kind == "IntersectPow":
-            text = f"{go(n.children[0], prec)}^{n.value}"
-        elif n.kind == "ComposePow":
-            text = f"{go(n.children[0], prec)}^@{n.value}"
-        elif n.kind == "Call":
-            args = ", ".join(go(c, 0) for c in n.children)
-            text = f"{n.value}({args})"
-        else:  # Atom
-            tag = n.value[0]
-            if tag == "scalar":
-                text = str(n.value[1])
-            elif tag == "name":
-                text = n.value[1]
-            elif tag == "E":
-                text = f"E({n.value[1]},{n.value[2]})"
+        if n.kind == "Call":
+            prec = _ATOM_PREC
+            text = f"{n.value}({', '.join(go(c, 0) for c in n.children)})"
+        elif n.kind == "Atom":
+            prec, (tag, *args) = _ATOM_PREC, n.value
+            text = _ATOM_SOURCE.get(tag, "{}").format(*args)
+        else:
+            op = _KINDS[n.kind]
+            prec = op.prec
+            first = go(n.children[0], prec)
+            if n.kind == "Neg":
+                text = f"-{first}"
+            elif n.value is None:
+                text = f"{first} {op.lexeme} {go(n.children[1], prec + 1)}"
             else:
-                text = f"H^{n.value[1]}"
+                text = f"{first}{op.lexeme}{n.value}"
         return f"({text})" if prec < parent else text
 
     return go(node, 0)
@@ -285,156 +339,68 @@ def to_source(node):
 # --- evaluator -------------------------------------------------------------------------
 
 
-def value_type(v):
-    if isinstance(v, Corr):
-        return "correspondence"
-    if isinstance(v, ChowClass):
-        return "class"
-    if isinstance(v, EndTuple):
-        return "tuple"
-    if isinstance(v, bool):
-        return "boolean"
-    return "scalar"
-
-
-_FUNCTIONS = {"t": 1, "mult": 1, "diag": 1, "deg": 1, "act": 2, "tuple": 1,
-              "inv": 1, "rational": 1}
-
-
-def _scale_or_fail(value, scalar, pos, opname):
-    if isinstance(value, (Corr, ChowClass, EndTuple)):
-        return value.scale(scalar)
-    raise EvalError(pos, f"cannot {opname} {value_type(value)} by a scalar")
-
-
 def evaluate(node, params):
     p = params.p
 
     def rec(n):
-        kind = n.kind
-        if kind == "Atom":
-            tag = n.value[0]
-            if tag == "scalar":
-                q = n.value[1]
-                if not is_local(q, p):
-                    raise EvalError(
-                        n.pos, f"scalar {q} is not {p}-local "
-                               "(denominator divisible by p)")
-                return q
-            if tag == "name":
-                maker = {"sigma": sigma, "rho": rho, "pi": rost_projector}
-                return maker[n.value[1]](params)
-            if tag == "E":
-                i, j = n.value[1], n.value[2]
-                if not (0 <= i <= p - 1 and 0 <= j <= p - 1):
-                    raise EvalError(
-                        n.pos, f"E({i},{j}) outside [0, {p - 1}]^2")
-                return basis(params, i, j)
-            k = n.value[1]
-            return h_power(params, k) if k <= p - 1 else ChowClass(params)
-        if kind == "Neg":
-            v = rec(n.children[0])
-            if isinstance(v, Fraction):
-                return -v
-            if isinstance(v, (Corr, ChowClass, EndTuple)):
-                return v.scale(-1)
-            raise EvalError(n.pos, f"cannot negate {value_type(v)}")
-        if kind in ("Add", "Sub"):
-            a, b = rec(n.children[0]), rec(n.children[1])
-            opname = "add" if kind == "Add" else "subtract"
-            if value_type(a) != value_type(b) or isinstance(a, bool):
-                raise EvalError(n.pos, f"cannot {opname} {value_type(a)} "
-                                       f"and {value_type(b)}")
-            return a + b if kind == "Add" else a - b
-        if kind == "IntersectMul":
-            a, b = rec(n.children[0]), rec(n.children[1])
-            ta, tb = value_type(a), value_type(b)
-            if ta == "scalar" and tb == "scalar":
-                return a * b
-            if ta == "scalar":
-                return _scale_or_fail(b, a, n.pos, "scale")
-            if tb == "scalar":
-                return _scale_or_fail(a, b, n.pos, "scale")
-            if ta == tb and ta in ("correspondence", "class", "tuple"):
-                return a * b
-            raise EvalError(n.pos, f"cannot multiply {ta} and {tb}")
-        if kind == "Compose":
-            a, b = rec(n.children[0]), rec(n.children[1])
-            if isinstance(a, Corr) and isinstance(b, Corr):
-                return a @ b  # a after b
+        if n.kind == "Atom":
+            return atom(n)
+        if n.kind == "Call":
+            return call(n)
+        op = _KINDS[n.kind]
+        operands = [rec(c) for c in n.children]
+        if n.kind == "ComposePow" and n.value < 1:
             raise EvalError(
-                n.pos, "composition requires two correspondences, got "
-                       f"{value_type(a)} and {value_type(b)}")
-        if kind == "IntersectPow":
-            v = rec(n.children[0])
-            if isinstance(v, bool):
-                raise EvalError(n.pos, "cannot raise boolean to a power")
-            return v ** n.value
-        if kind == "ComposePow":
-            v = rec(n.children[0])
-            if n.value < 1:
+                n.pos, "composition power requires an exponent >= 1")
+        # Python would take a boolean for the int 0 or 1
+        if bool not in map(type, operands):
+            exponent = () if n.value is None else (n.value,)
+            try:
+                return op.apply(*operands, *exponent)
+            except TypeError:
+                pass
+        types = [value_type(v) for v in operands]
+        if n.kind == "IntersectMul" and "scalar" in types:  # and a boolean
+            raise EvalError(n.pos, "cannot scale boolean by a scalar")
+        raise EvalError(n.pos, op.error.format(*types))
+
+    def atom(n):
+        tag = n.value[0]
+        if tag == "scalar":
+            q = n.value[1]
+            if not is_local(q, p):
                 raise EvalError(
-                    n.pos, "composition power requires an exponent >= 1")
-            if isinstance(v, Corr):
-                return comp_power(v, n.value)
-            if isinstance(v, EndTuple):
-                return v ** n.value
-            raise EvalError(
-                n.pos, f"composition power undefined for {value_type(v)}")
-        # Call
+                    n.pos, f"scalar {q} is not {p}-local "
+                           "(denominator divisible by p)")
+            return q
+        if tag == "name":
+            return _NAMES[n.value[1]](params)
+        if tag == "E":
+            i, j = n.value[1], n.value[2]
+            if not (0 <= i <= p - 1 and 0 <= j <= p - 1):
+                raise EvalError(n.pos, f"E({i},{j}) outside [0, {p - 1}]^2")
+            return basis(params, i, j)
+        k = n.value[1]
+        return h_power(params, k) if k <= p - 1 else ChowClass(params)
+
+    def call(n):
         name = n.value
         if name not in _FUNCTIONS:
             raise EvalError(n.pos, f"unknown function {name!r}")
-        if len(n.children) != _FUNCTIONS[name]:
+        arity, arg_type, impl = _FUNCTIONS[name]
+        if len(n.children) != arity:
             raise EvalError(
-                n.pos, f"{name}() takes {_FUNCTIONS[name]} argument(s), "
+                n.pos, f"{name}() takes {arity} argument(s), "
                        f"got {len(n.children)}")
         args = [rec(c) for c in n.children]
-        return _call(name, args, n)
-
-    def _call(name, args, n):
-        a = args[0]
-        if name == "t":
-            _need(a, Corr, n, "t", "a correspondence")
-            return transpose(a)
-        if name == "mult":
-            _need(a, Corr, n, "mult", "a correspondence")
-            return mult(a)
-        if name == "diag":
-            _need(a, Corr, n, "diag", "a correspondence")
-            return diag_pullback(a)
-        if name == "deg":
-            _need(a, ChowClass, n, "deg", "a class")
-            return a.degree()
-        if name == "act":
-            _need(a, Corr, n, "act", "a correspondence")
-            k = args[1]
-            if not isinstance(k, Fraction) or k.denominator != 1:
-                raise EvalError(n.pos, "act() exponent must be an integer")
-            try:
-                return action_on_class(a, int(k))
-            except ValueError as err:
-                raise EvalError(n.pos, str(err)) from err
-        if name == "tuple":
-            _need(a, Corr, n, "tuple", "a correspondence")
-            try:
-                return to_tuple(a)
-            except ValueError as err:
-                raise EvalError(n.pos, str(err)) from err
-        if name == "inv":
-            _need(a, EndTuple, n, "inv", "a tuple")
-            try:
-                return invert(a)
-            except ValueError as err:
-                raise EvalError(n.pos, str(err)) from err
-        # rational
-        _need(a, EndTuple, n, "rational", "a tuple")
-        return is_rational(a)
-
-    def _need(value, cls, n, fname, what):
-        if not isinstance(value, cls):
+        if not isinstance(args[0], arg_type):
             raise EvalError(
-                n.pos, f"{fname}() requires {what}, got {value_type(value)}")
+                n.pos, f"{name}() requires a {VALUE_TYPES[arg_type][0]}, "
+                       f"got {value_type(args[0])}")
+        try:
+            return impl(*args)
+        except ValueError as err:
+            raise EvalError(n.pos, str(err)) from err
 
     return rec(node)
 

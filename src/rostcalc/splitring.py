@@ -7,6 +7,7 @@ off e times the top coefficient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,19 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
     if not (c == b * p + 1 == b + p**n and d == b * (p - 1) == c - b - 1):
         raise ValueError("broken identities between b, c, d at (%d, %d)" % (p, n))
     return SymbolParams(p=p, n=n, b=b, c=c, d=d, e=e)
+
+
+def repeated_squaring(x, r: int, product):
+    """x * x * ... * x (r >= 1 factors) under an associative ``product``,
+    in O(log r) products."""
+    out = None
+    while True:
+        if r & 1:
+            out = x if out is None else product(out, x)
+        r >>= 1
+        if not r:
+            return out
+        x = product(x, x)
 
 
 class SparseVec:
@@ -118,10 +132,9 @@ class SparseVec:
         """r-fold intersection power; the zeroth power is the unit."""
         if not isinstance(r, int) or r < 0:
             raise ValueError("nonnegative integer power required")
-        out = type(self)(self.params, {self._ONE: 1})
-        for _ in range(r):
-            out = out * self
-        return out
+        if r == 0:
+            return type(self)(self.params, {self._ONE: 1})
+        return repeated_squaring(self, r, operator.mul)
 
     def __str__(self):
         if self.is_zero():

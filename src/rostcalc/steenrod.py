@@ -90,7 +90,6 @@ class PairingContext:
     budget i + j + k + l = d + s over the sigma-power r = p-1.
     kind "generators": deg(bY_i * <term>) against sigma^r pushed from a
     dim-(p^m - 1) subvariety, budget i + j = p^m - 1.
-    kind "plain": a bare split pairing of the chern slots against H-powers.
     """
 
     kind: str
@@ -308,16 +307,6 @@ def valuation_bound(prod):
     counts = prod.classify()
     n_theta, n_second, n_third = (counts["theta"], counts["second"],
                                   counts["third"])
-
-    if ctx.kind == "plain":
-        rational = [a for a in ctx.chern if a.rational and a.poscodim]
-        if len(rational) >= 2:
-            return ValAtLeast(2, (RuleApp("split-pairing",
-                                          tuple(rational[:2])),))
-        if len(rational) == 1:
-            return ValAtLeast(1, (RuleApp("rational-pairing",
-                                          (rational[0],)),))
-        return ValAtLeast(0, ())
 
     if ctx.kind == "generators":
         chern = ctx.chern[0]

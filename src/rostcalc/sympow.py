@@ -95,12 +95,11 @@ class GradedMap:
         return all(all(a == 0 for a in row) for row in self.matrix)
 
 
-def sym_module(i, params, extra_twist=0):
-    name = f"Sym^{i}" + (f"({extra_twist})" if extra_twist else "")
+def sym_module(i, params):
     return GradedModule(
-        name,
+        f"Sym^{i}",
         tuple(f"e_{t}" for t in range(i + 1)),
-        tuple(t * params.b + extra_twist for t in range(i + 1)),
+        tuple(t * params.b for t in range(i + 1)),
     )
 
 
@@ -323,7 +322,7 @@ def verify_triangles(params):
     top = build_morphisms(p - 1, params)
 
     # first: Z((p-1)b) -> Sym^{p-1} -> Sym^{p-2}, inclusion of e_{p-1} against y_{p-1}
-    line = sym_module(0, params, extra_twist=0)
+    line = sym_module(0, params)
     incl = GradedMap(
         line, sym_module(p - 1, params),
         _mat(p, 1, {(p - 1, 0): 1}),

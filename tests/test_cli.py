@@ -1,10 +1,14 @@
 """Command-line interface: payloads, formats, exit codes, goldens."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rostcalc
 from rostcalc import rostchow, steenrod, verify
 from rostcalc.cli import main
 from rostcalc.reporting import CheckReport
@@ -294,6 +298,32 @@ def test_eval_type_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-p", "3", "-n", "2", "deg(sigma)")
     assert code == 2
     assert "deg() requires a class" in err
+
+
+HOSTILE_EVAL = {
+    "3000 parentheses": ("(" * 3000 + "sigma" + ")" * 3000, 2, ""),
+    "3000 negations": ("-" * 3000 + "sigma", 2, ""),
+    "3000-term sum": ("+".join(["sigma"] * 3000), 2, ""),
+    "3000 powers": ("sigma" + "^1" * 3000, 2, ""),
+    "huge power": ("sigma^100000000", 0, "0\n"),
+    "huge composition power": ("pi^@100000000", 0,
+                               "E(0,2) + E(1,1) + E(2,0)\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_EVAL))
+def test_eval_hostile_input_subprocess(name):
+    """The real CLI process ends in time with the contract's exit code and
+    no traceback."""
+    expr, code, out = HOSTILE_EVAL[name]
+    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rostcalc.cli", "eval", "-p", "3", "-n", "2",
+         "--", expr], capture_output=True, text=True, timeout=5, env=env)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert "Traceback" not in proc.stderr
 
 
 def test_eval_json_normalizes_expr(capsys):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -179,6 +181,18 @@ def test_comp_power():
     assert comp_power(pi, 5) == pi
     with pytest.raises(ValueError):
         comp_power(pi, 0)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_powers_by_squaring_match_repeated_products(r):
+    pr = make_params(5, 2, e=2)
+    rng = random.Random(r)
+    alpha = _random_corr(pr, rng) + rost_projector(pr).scale(3)
+    cls = h_power(pr, 0).scale(2) + h_power(pr, 1) - h_power(pr, 3)
+    assert not comp_power(alpha, r).is_zero()
+    assert comp_power(alpha, r) == functools.reduce(compose, [alpha] * r)
+    for x in (alpha, cls):
+        assert x ** r == functools.reduce(operator.mul, [x] * r)
 
 
 def test_transpose_involution_and_basis():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from rostcalc.corresp import Corr, basis, rho, rost_projector, sigma
 from rostcalc.endalg import EndTuple
 from rostcalc.exprlang import (
+    MAX_DEPTH,
     EvalError,
     ExprSyntaxError,
     eval_source,
@@ -178,6 +179,32 @@ def test_syntax_error_pow_requires_int():
 def test_syntax_error_composepow_requires_int():
     with pytest.raises(ExprSyntaxError):
         parse("sigma^@")
+
+
+DEEP = {
+    "parens": "(" * 3000 + "sigma" + ")" * 3000,
+    "negations": "-" * 3000 + "sigma",
+    "sum-chain": "+".join(["sigma"] * 3000),
+    "power-chain": "sigma" + "^1" * 3000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_syntax_error_past_max_depth(name):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(DEEP[name])
+    assert exc.value.expected == f"at most {MAX_DEPTH} levels of nesting"
+    # the offending token: the first '(' or '-' past the cap, or the
+    # operator whose node would be one level too deep
+    column = {"parens": MAX_DEPTH + 1, "negations": MAX_DEPTH + 1,
+              "sum-chain": 6 * MAX_DEPTH, "power-chain": 4 + 2 * MAX_DEPTH}
+    assert (exc.value.line, exc.value.column) == (1, column[name])
+
+
+def test_max_depth_itself_parses():
+    assert parse("(" * (MAX_DEPTH - 1) + "sigma" + ")" * (MAX_DEPTH - 1))
+    assert parse("+".join(["sigma"] * MAX_DEPTH)).depth == MAX_DEPTH
+    assert eval_source("-" * (MAX_DEPTH - 1) + "sigma", P32) == -sigma(P32)
 
 
 def test_function_requires_parens():

@@ -145,24 +145,6 @@ def test_two_thetas_val_at_least_2():
     assert all(r.rule == "theta-carries-p" for r in v.rules)
 
 
-def test_plain_split_pairing():
-    pr = make_params(3, 2)
-    ctx = PairingContext("plain", pr, 0, 0, 0, 2, 3, 0, 0,
-                         (SteenAtom("chern_x", 2), SteenAtom("chern_x", 3)))
-    v = valuation_bound(SteenProduct((), 1, ctx))
-    assert isinstance(v, ValAtLeast) and v.value == 2
-    assert v.rules[0].rule == "split-pairing"
-
-
-def test_plain_pairing_weaker_slots():
-    pr = make_params(3, 2)
-    one_rational = PairingContext(
-        "plain", pr, 0, 0, 0, 2, 0, 0, 0,
-        (SteenAtom("chern_x", 2), SteenAtom("chern_x", 0)))
-    v = valuation_bound(SteenProduct((), 1, one_rational))
-    assert isinstance(v, ValAtLeast) and v.value == 1
-
-
 def test_third_only_tail_pushes_to_zero():
     pr = make_params(3, 2)
     ctx = PairingContext("generators", pr, 1, 2, 1, 0, 2, 0, 2,
