@@ -72,7 +72,8 @@ def build_parser():
 
     sp = sub.add_parser("eval", help="evaluate an expression")
     common(sp)
-    sp.add_argument("expr", help="expression, e.g. 'sigma @ sigma^2'")
+    sp.add_argument("expr", help="expression, e.g. 'sigma @ sigma^2'; put "
+                    "-- before one that starts with '-'")
     fmt(sp)
 
     sp = sub.add_parser("audit", help="p-divisibility audit")
@@ -294,6 +295,7 @@ def cmd_audit(ns, params):
         arg_key, arg_val = "r", ns.r
 
     counts = report.counts()
+    terms = sum(counts.values())
     leading = report.leading
     if ns.format == "json":
         doc = _param_doc(params)
@@ -304,7 +306,7 @@ def cmd_audit(ns, params):
             "premises": list(report.premises),
             "support": [{"name": name, "ok": ok, "detail": detail}
                         for name, ok, detail in report.support],
-            "cases": len(report.cases),
+            "cases": terms,
             "verdicts": counts,
             "leading": leading.describe() if leading else None,
             "conclusion": report.conclusion,
@@ -313,14 +315,14 @@ def cmd_audit(ns, params):
         _emit(_json_text(doc))
     elif ns.format == "csv":
         rows = [["kind", report.kind], ["m", ns.m], [arg_key, arg_val],
-                ["cases", len(report.cases)],
+                ["cases", terms],
                 ["zero", counts["zero"]], ["at-least", counts["at-least"]],
                 ["exact", counts["exact"]],
                 ["passed", "true" if report.passed else "false"]]
         _emit(_csv_text(["key", "value"], rows))
     else:
         lines = report.header_lines()
-        lines.append(f"cases: {len(report.cases)} (zero={counts['zero']}, "
+        lines.append(f"cases: {terms} (zero={counts['zero']}, "
                      f"at-least={counts['at-least']}, "
                      f"exact={counts['exact']})")
         if leading:

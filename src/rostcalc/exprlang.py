@@ -25,7 +25,7 @@ from .arith import is_local
 from .corresp import (Corr, action_on_class, basis, comp_power, diag_pullback,
                       mult, rho, rost_projector, sigma, to_tuple, transpose)
 from .endalg import EndTuple, invert, is_rational
-from .splitring import ChowClass, h_power
+from .splitring import ChowClass, h_power, scalar_power
 
 MAX_DEPTH = 100
 _TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
@@ -91,12 +91,23 @@ def value_type(v):
     return VALUE_TYPES[type(v)][0]
 
 
+def _power(v, r):
+    """Intersection power.  Scalars and tuple entries go through
+    scalar_power and classes through repeated squaring, so no coefficient
+    passes MAX_COEFF_BITS."""
+    if isinstance(v, Fraction):
+        return scalar_power(v, r)
+    if isinstance(v, EndTuple):
+        return EndTuple(v.p, tuple(scalar_power(x, r) for x in v.entries))
+    return v ** r
+
+
 def _compose_power(v, r):
     """r-fold composition; on tuples it is the entrywise power."""
     if isinstance(v, Corr):
         return comp_power(v, r)
     if isinstance(v, EndTuple):
-        return v ** r
+        return _power(v, r)
     raise TypeError
 
 
@@ -111,7 +122,7 @@ _OPERATORS = (
     _Op("@", "Compose", 2, operator.matmul,
         "composition requires two correspondences, got {} and {}"),
     _Op("-", "Neg", 3, operator.neg, "cannot negate {}"),
-    _Op("^", "IntersectPow", 4, operator.pow, "cannot raise {} to a power"),
+    _Op("^", "IntersectPow", 4, _power, "cannot raise {} to a power"),
     _Op("^@", "ComposePow", 4, _compose_power,
         "composition power undefined for {}"),
 )
@@ -359,6 +370,8 @@ def evaluate(node, params):
                 return op.apply(*operands, *exponent)
             except TypeError:
                 pass
+            except ValueError as err:
+                raise EvalError(n.pos, str(err)) from err
         types = [value_type(v) for v in operands]
         if n.kind == "IntersectMul" and "scalar" in types:  # and a boolean
             raise EvalError(n.pos, "cannot scale boolean by a scalar")

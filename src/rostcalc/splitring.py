@@ -46,17 +46,42 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
     return SymbolParams(p=p, n=n, b=b, c=c, d=d, e=e)
 
 
+# Powers by repeated squaring, and the scalar and tuple powers of ``eval``,
+# refuse to build a coefficient whose numerator or denominator has more
+# bits than this, well inside the 4,300 decimal digits Python will print,
+# so a huge exponent fails at once and not after minutes.
+MAX_COEFF_BITS = 10_000
+
+
+def _check_coeff_size(x):
+    values = x._coeffs.values() if isinstance(x, SparseVec) else (x,)
+    for v in values:
+        if max(v.numerator.bit_length(),
+               v.denominator.bit_length()) > MAX_COEFF_BITS:
+            raise ValueError(f"power too large: a coefficient would pass "
+                             f"{MAX_COEFF_BITS} bits")
+    return x
+
+
 def repeated_squaring(x, r: int, product):
     """x * x * ... * x (r >= 1 factors) under an associative ``product``,
-    in O(log r) products."""
+    in O(log r) products, each checked against MAX_COEFF_BITS.  x is a
+    scalar or a SparseVec."""
     out = None
     while True:
         if r & 1:
-            out = x if out is None else product(out, x)
+            out = x if out is None else _check_coeff_size(product(out, x))
         r >>= 1
         if not r:
             return out
-        x = product(x, x)
+        x = _check_coeff_size(product(x, x))
+
+
+def scalar_power(q, r: int) -> Fraction:
+    """q^r for a scalar q and r >= 0, under MAX_COEFF_BITS."""
+    if r == 0:
+        return Fraction(1)
+    return repeated_squaring(Fraction(q), r, operator.mul)
 
 
 class SparseVec:

@@ -7,7 +7,10 @@ by the Cartan formula and each S^a(sigma) into
 
     S^a(sigma) = p*theta_a + 1 x S^a(H) - S^a(H) x 1,
 
-and returns one verdict per term:
+and returns one verdict per term.  A verdict reads a term only through its
+pairing and its numbers of theta, second and third factors, so the terms
+are grouped into those count classes: one representative product per
+class, weighted by the number of terms it stands for.  The verdicts are:
 
 * ``Zero(reason)``    -- the term vanishes on the nose;
 * ``ValExactly(1)``   -- the single leading term, valuation exactly 1,
@@ -22,7 +25,7 @@ split that produced it.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
+from math import comb
 
 from .arith import multinomial, val
 from .corresp import (
@@ -106,9 +109,14 @@ class PairingContext:
 
 @dataclass(frozen=True)
 class SteenProduct:
+    """A count class of expansion terms: the ``weight`` terms with the same
+    sigma, theta, second and third counts over one Cartan composition,
+    represented by one of them (``atoms``, with its signed ``scalar``)."""
+
     atoms: tuple
     scalar: int
     context: PairingContext = None
+    weight: int = 1
 
     def classify(self):
         counts = {"sigma": 0, "theta": 0, "second": 0, "third": 0}
@@ -254,52 +262,64 @@ def cartan_expand(r, l, p):
     return list(_cartan_expand_cached(r, l, p))
 
 
+@lru_cache(maxsize=None)
+def _class_atoms(parts):
+    """(atoms, sign, weight) of every count class of one composition,
+    theta-heaviest first: for a theta, b second and c third atoms on its
+    q positive parts, weight = multinomial((a, b, c)) and sign = (-1)^c."""
+    positive = [v for v in parts if v]
+    sigmas = (SteenAtom("sigma"),) * (len(parts) - len(positive))
+    q = len(positive)
+    out = []
+    for a in range(q, -1, -1):
+        for b in range(q - a, -1, -1):
+            c = q - a - b
+            kinds = ("theta",) * a + ("second",) * b + ("third",) * c
+            atoms = sigmas + tuple(SteenAtom(kind, v)
+                                   for kind, v in zip(kinds, positive))
+            out.append((atoms, (-1) ** c, multinomial((a, b, c))))
+    return tuple(out)
+
+
 def substitute_dcmp(expansion, context=None):
     """Expand every positive part of every Cartan composition through the
-    three-term sigma decomposition, keeping signs and multiplicities exact.
+    three-term sigma decomposition, one product per count class.
 
-    Zero parts stay as sigma factors.  Each returned product's scalar is
-    multiplicity * (-1)^(#third); the explicit p on each theta stays on the
-    atom itself.
+    Zero parts stay as sigma factors.  For q positive parts there is one
+    class per (a, b, c) with a + b + c = q; its representative puts theta
+    on the first a parts, second on the next b and third on the last c,
+    its scalar is multiplicity * (-1)^c and its weight the number of terms
+    it stands for.  The explicit p on each theta stays on the atom itself.
     """
-    products = []
-    for parts, multiplicity in expansion:
-        positive = [a for a in parts if a]
-        n_sigma = len(parts) - len(positive)
-        sigmas = (SteenAtom("sigma"),) * n_sigma
-        if not positive:
-            products.append(SteenProduct(sigmas, multiplicity, context))
-            continue
-        for choice in iter_product(("theta", "second", "third"),
-                                   repeat=len(positive)):
-            atoms = sigmas + tuple(SteenAtom(kind, a)
-                                   for kind, a in zip(choice, positive))
-            n_third = sum(1 for c in choice if c == "third")
-            scalar = multiplicity * (-1) ** n_third
-            products.append(SteenProduct(atoms, scalar, context))
-    return products
+    return [SteenProduct(atoms, multiplicity * sign, context, weight)
+            for parts, multiplicity in expansion
+            for atoms, sign, weight in _class_atoms(parts)]
 
 
 # --- the rule engine -----------------------------------------------------------
 
 
-def _xdecomp_rule(ctx):
+@lru_cache(maxsize=None)
+def _xdecomp_rule(p, b, m, s, k):
+    """x-decomp-vanishes with a note on every component of the point-
+    splitting of x it cannot bound; computed once per (p, b, m, s, k)."""
     notes = []
-    if ctx.k < ctx.s:
+    if k < s:
         notes.append("base component: pairing underflow (k < s)")
-    elif ctx.k > ctx.s:
+    elif k > s:
         notes.append("base component: S^(k-s) of the unit class is zero")
-    for rr in range(1, ctx.params.p):
-        lhs = ctx.s + rr * ctx.params.b
-        rhs = (ctx.m - rr * ctx.params.b) * (ctx.params.p - 1)
+    for rr in range(1, p):
+        lhs = s + rr * b
+        rhs = (m - rr * b) * (p - 1)
         if lhs <= rhs:
             notes.append(f"component {rr} NOT bounded: {lhs} <= {rhs}")
     return RuleApp("x-decomp-vanishes", (), "; ".join(notes))
 
 
 def valuation_bound(prod):
-    """Verdict for one expansion term, strongest first: structural zeros,
-    then valuation rules with their trace."""
+    """Verdict for one expansion term, or for every term of its count
+    class, strongest first: structural zeros, then valuation rules with
+    their trace."""
     ctx = prod.context
     if ctx is None:
         raise ValueError("cannot audit: product has no pairing context")
@@ -331,6 +351,7 @@ def valuation_bound(prod):
         return Zero("chern-index-overflow")
     if not steen_index_valid(ctx.k, p):
         return Zero("steenrod-index-invalid")
+    xdecomp = _xdecomp_rule(p, b, ctx.m, ctx.s, ctx.k)
 
     if ctx.l == 0:
         if ctx.i == d and ctx.j == 0:
@@ -344,7 +365,7 @@ def valuation_bound(prod):
         if ctx.j > 0:
             rules.append(RuleApp("rational-pairing", (chern_j,)))
         else:
-            rules.append(_xdecomp_rule(ctx))
+            rules.append(xdecomp)
         return ValAtLeast(2, tuple(rules))
 
     # l > 0: the term carries an actual sigma expansion
@@ -355,7 +376,7 @@ def valuation_bound(prod):
     if n_theta == 1:
         first = RuleApp("theta-carries-p", (thetas[0],))
         if ctx.k != ctx.s:
-            return ValAtLeast(2, (first, _xdecomp_rule(ctx)))
+            return ValAtLeast(2, (first, xdecomp))
         if ctx.j > 0:
             return ValAtLeast(2, (first,
                                   RuleApp("rational-pairing", (chern_j,))))
@@ -364,7 +385,7 @@ def valuation_bound(prod):
     # no theta
     if ctx.k != ctx.s:
         return ValAtLeast(2, (RuleApp("rational-pairing", (chern_i,)),
-                              _xdecomp_rule(ctx)))
+                              xdecomp))
     if ctx.j > 0:
         return ValAtLeast(2, (RuleApp("split-pairing", (chern_i, chern_j)),))
     if n_second >= 1:
@@ -382,6 +403,11 @@ class AuditCase:
     product: SteenProduct
     verdict: object
     leading: bool = False
+
+    @property
+    def weight(self):
+        """The number of expansion terms this case stands for."""
+        return self.product.weight if self.product is not None else 1
 
     def describe(self):
         prod = str(self.product) if self.product is not None else "unexpanded"
@@ -414,14 +440,15 @@ class AuditReport:
         return None
 
     def counts(self):
+        """Verdict tallies over expansion terms (case weights summed)."""
         out = {"zero": 0, "at-least": 0, "exact": 0}
         for case in self.cases:
             if isinstance(case.verdict, Zero):
-                out["zero"] += 1
+                out["zero"] += case.weight
             elif isinstance(case.verdict, ValAtLeast):
-                out["at-least"] += 1
+                out["at-least"] += case.weight
             else:
-                out["exact"] += 1
+                out["exact"] += case.weight
         return out
 
     def header_lines(self):
@@ -434,22 +461,32 @@ class AuditReport:
         return lines
 
 
-def _conclude(cases, support, pass_text, fail_text):
+def _offender(cases, support):
+    """What first keeps an audit from passing, or None."""
     leading = [c for c in cases if c.leading]
-    ok = len(leading) == 1 and isinstance(leading[0].verdict, ValExactly) \
-        and leading[0].verdict.value == 1
+    if len(leading) != 1:
+        return f"{len(leading)} leading cases, expected 1"
     for case in cases:
-        if case.leading:
-            continue
         v = case.verdict
-        if isinstance(v, Zero):
-            ok = ok and v.reason in ZERO_REASONS
-        elif isinstance(v, ValAtLeast):
-            ok = ok and v.value >= 2
+        if case.leading:
+            ok = isinstance(v, ValExactly) and v.value == 1
+        elif isinstance(v, Zero):
+            ok = v.reason in ZERO_REASONS
         else:
-            ok = False
-    ok = ok and all(flag for _, flag, _ in support)
-    return ok, (pass_text if ok else fail_text)
+            ok = isinstance(v, ValAtLeast) and v.value >= 2
+        if not ok:
+            return f"case {case.index}: {verdict_str(v)}"
+    for name, ok, detail in support:
+        if not ok:
+            return f"support {name}" + (f" -- {detail}" if detail else "")
+    return None
+
+
+def _conclude(cases, support, pass_text, fail_text):
+    offender = _offender(cases, support)
+    if offender is None:
+        return True, pass_text
+    return False, f"{fail_text} (first: {offender})"
 
 
 # --- the two audits --------------------------------------------------------------
@@ -554,7 +591,7 @@ def audit_rationality(params, m, s):
         cases, support,
         pass_text=f"pass: leading term deg(b_{d})*S^{s}(x_0) has valuation "
                   "exactly 1; all other terms are zero or in the ideal",
-        fail_text="fail: a non-leading term escaped the ideal")
+        fail_text="fail: could not certify rationality modulo the ideal")
     return AuditReport("rationality", params, args, _RAT_PREMISES, support,
                        tuple(cases), conclusion, ok)
 
@@ -654,12 +691,9 @@ def _check_zero(case, report):
     return False
 
 
-def _check_rule(app, case, report):
-    ctx = case.product.context if case.product is not None else None
-    visible = set()
-    if case.product is not None:
-        visible.update(case.product.atoms)
-        visible.update(ctx.chern)
+def _check_rule(app, ctx, visible):
+    """Whether a rule application holds in pairing context ``ctx``;
+    ``visible`` is the set of atoms the case's product and context show."""
     if app.rule == "theta-carries-p":
         return (len(app.atoms) == 1 and app.atoms[0].kind == "theta"
                 and app.atoms[0] in visible)
@@ -682,7 +716,8 @@ def _check_rule(app, case, report):
 
 
 def replay(report):
-    """Re-check every verdict's premises independently of the enumeration."""
+    """Re-check every verdict's premises and every class weight
+    independently of the enumeration."""
     out = CheckReport(f"replay: {report.title}")
     if not report.cases:
         out.add("trivial report", report.conclusion.startswith("trivial"),
@@ -690,15 +725,26 @@ def replay(report):
         return out
     leading = [c for c in report.cases if c.leading]
     out.add("exactly one leading case", len(leading) == 1)
-    bad_zero = bad_rules = bad_exact = 0
+    bad_zero = bad_rules = bad_exact = bad_weight = 0
     for case in report.cases:
-        v = case.verdict
+        prod, v = case.product, case.verdict
+        if prod is not None:
+            # a class's weight counts the ways to place its theta, second
+            # and third atoms on its q positive parts
+            c = prod.classify()
+            n_theta, n_second = c["theta"], c["second"]
+            q = n_theta + n_second + c["third"]
+            if prod.weight != comb(q, n_theta) * comb(q - n_theta, n_second):
+                bad_weight += 1
         if isinstance(v, Zero):
             if v.reason not in ZERO_REASONS or not _check_zero(case, report):
                 bad_zero += 1
         elif isinstance(v, ValAtLeast):
+            ctx, visible = None, set()
+            if prod is not None:
+                ctx, visible = prod.context, {*prod.atoms, *prod.context.chern}
             factors = sum(RULE_FACTORS[a.rule] for a in v.rules)
-            if factors < v.value or not all(_check_rule(a, case, report)
+            if factors < v.value or not all(_check_rule(a, ctx, visible)
                                             for a in v.rules):
                 bad_rules += 1
         elif isinstance(v, ValExactly):
@@ -708,5 +754,6 @@ def replay(report):
     out.add("zero reasons justified", bad_zero == 0, f"{bad_zero} bad")
     out.add("rule premises satisfied", bad_rules == 0, f"{bad_rules} bad")
     out.add("exact verdicts are the declared leading premise", bad_exact == 0)
+    out.add("class weights recounted", bad_weight == 0, f"{bad_weight} bad")
     out.add("support checks hold", all(ok for _, ok, _ in report.support))
     return out

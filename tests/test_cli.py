@@ -308,6 +308,10 @@ HOSTILE_EVAL = {
     "huge power": ("sigma^100000000", 0, "0\n"),
     "huge composition power": ("pi^@100000000", 0,
                                "E(0,2) + E(1,1) + E(2,0)\n"),
+    "growing composition power": ("(2*pi)^@1000000000", 2, ""),
+    "growing class power": ("(3*H^0+H^1)^100000000", 2, ""),
+    "huge scalar power": ("2^100000000", 2, ""),
+    "growing composition power 10^8": ("(2*pi)^@100000000", 2, ""),
 }
 
 
@@ -324,6 +328,29 @@ def test_eval_hostile_input_subprocess(name):
          "--", expr], capture_output=True, text=True, timeout=5, env=env)
     assert (proc.returncode, proc.stdout) == (code, out)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("expr", ["(2*pi)^@1000000000", "2^100000000",
+                                  "(3*H^0+H^1)^100000000",
+                                  "tuple(2*pi)^@100000000"])
+def test_eval_power_bound_message(capsys, expr):
+    code, out, err = run(capsys, "eval", "-p", "3", "-n", "2", expr)
+    assert (code, out) == (2, "")
+    assert "power too large: a coefficient would pass 10000 bits" in err
+
+
+def test_eval_power_at_the_bound(capsys):
+    # 2^9999 has 10,000 bits, 2^10000 one more
+    code, out, _ = run(capsys, "eval", "-p", "3", "-n", "2", "2^9999")
+    assert (code, out) == (0, f"{2**9999}\n")
+    code, _, err = run(capsys, "eval", "-p", "3", "-n", "2", "2^10000")
+    assert code == 2 and "power too large" in err
+
+
+def test_eval_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "eval", "-p", "3", "-n", "2", "--", "-(sigma)")
+    assert (code, out) == (0, "-1*E(0,1) + E(1,0)\n")
+    assert run(capsys, "eval", "-p", "3", "-n", "2", "(-1)*sigma")[1] == out
 
 
 def test_eval_json_normalizes_expr(capsys):

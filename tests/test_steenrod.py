@@ -1,6 +1,8 @@
 """Cartan expansion, the sigma decomposition, and the divisibility audits."""
 
+from collections import Counter
 from dataclasses import replace
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -107,10 +109,12 @@ def test_substitute_all_zero_unchanged():
 
 def test_substitute_two_positive_parts_signs():
     prods = substitute_dcmp([((2, 2), 1)])
-    assert len(prods) == 9
-    signs = sorted(p.scalar for p in prods)
-    # (-1)^(#third): four with even third count... 3^2 with one, two, zero
-    assert signs.count(-1) == 4 and signs.count(1) == 5
+    # classes (a, b, c) with a + b + c = 2, standing for 3^2 terms
+    assert len(prods) == 6
+    assert sum(p.weight for p in prods) == 9
+    # (-1)^(#third): one third in the four terms of weights 2 + 2
+    assert sum(p.weight for p in prods if p.scalar == -1) == 4
+    assert sum(p.weight for p in prods if p.scalar == 1) == 5
 
 
 @given(p=st.sampled_from((2, 3, 5)), data=st.data())
@@ -124,6 +128,45 @@ def test_classify_consistent_with_multiset(p, data):
         assert prod.scalar != 0
         assert (prod.scalar < 0) == (counts["third"] % 2 == 1)
         assert sum(prod.composition()) == l
+
+
+def _substitute_terms(expansion, context=None):
+    """The brute-force oracle: one product per term, every assignment of
+    theta, second or third to every positive part, weight 1."""
+    products = []
+    for parts, multiplicity in expansion:
+        positive = [a for a in parts if a]
+        sigmas = (SteenAtom("sigma"),) * (len(parts) - len(positive))
+        for choice in iter_product(("theta", "second", "third"),
+                                   repeat=len(positive)):
+            atoms = sigmas + tuple(SteenAtom(kind, a)
+                                   for kind, a in zip(choice, positive))
+            scalar = multiplicity * (-1) ** choice.count("third")
+            products.append(SteenProduct(atoms, scalar, context))
+    return products
+
+
+@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_classes_partition_terms(p, data):
+    r = data.draw(st.integers(1, 4))
+    l = data.draw(st.integers(0, 4 * (p - 1)))
+    expansion = cartan_expand(r, l, p)
+
+    def key(prod):
+        c = prod.classify()
+        return prod.composition(), c["theta"], c["second"], c["third"]
+
+    terms, classes = Counter(), Counter()
+    signs = {}
+    for prod in _substitute_terms(expansion):
+        terms[key(prod)] += 1
+        signs[key(prod)] = prod.scalar
+    for prod in substitute_dcmp(expansion):
+        assert classes[key(prod)] == 0
+        classes[key(prod)] += prod.weight
+        assert prod.scalar == signs[key(prod)]
+    assert classes == terms
 
 
 # --- valuation_bound on hand-built products ------------------------------------
@@ -347,6 +390,59 @@ def test_generators_arguments():
     assert generators_arguments(make_params(2, 3)) == [(1, 1), (2, 1)]
 
 
+# --- class-level audits against the term-level oracle -------------------------
+
+
+def _verdict_key(v):
+    rules = tuple(r.rule for r in v.rules) if isinstance(v, ValAtLeast) else ()
+    return (type(v).__name__, getattr(v, "value", None), rules,
+            getattr(v, "reason", None))
+
+
+def _tallies_by_index(report, terms):
+    """Per case index, weighted verdict tallies of a report, or (terms)
+    the tallies of expanding each index's Cartan compositions term by
+    term and classifying every term."""
+    out = {}
+    contexts = {}
+    for case in report.cases:
+        tally = out.setdefault(case.index, Counter())
+        if case.product is None:
+            tally[_verdict_key(case.verdict)] += 1
+        elif terms:
+            contexts[case.index] = case.product.context
+        else:
+            tally[_verdict_key(case.verdict)] += case.weight
+    p = report.params.p
+    for index, ctx in contexts.items():
+        for prod in _substitute_terms(cartan_expand(ctx.r, ctx.l, p), ctx):
+            out[index][_verdict_key(valuation_bound(prod))] += 1
+    return out
+
+
+def _oracle_audits():
+    for p, n in ((2, 2), (2, 3), (3, 2)):
+        pr = make_params(p, n)
+        for m, s in rationality_arguments(pr):
+            yield audit_rationality(pr, m, s)
+        for m, r in generators_arguments(pr):
+            yield audit_generators(pr, m, r)
+    pr = make_params(5, 2)
+    for m, s in ((0, 0), (1, 8)):
+        yield audit_rationality(pr, m, s)
+    for m, r in generators_arguments(pr):
+        yield audit_generators(pr, m, r)
+
+
+def test_class_tallies_match_term_oracle():
+    grouped = 0
+    for report in _oracle_audits():
+        want = _tallies_by_index(report, terms=True)
+        assert _tallies_by_index(report, terms=False) == want, report.title
+        grouped += sum(c.weight > 1 for c in report.cases)
+    assert grouped > 1000
+
+
 # --- report plumbing ----------------------------------------------------------------
 
 
@@ -376,3 +472,33 @@ def test_perturbed_support_fails_report():
     assert not rep.passed
     support = dict((name, ok) for name, ok, _ in rep.support)
     assert not support["unit-pairing-degree"]
+    assert "unit-pairing-degree" in rep.conclusion
+
+
+def test_failing_case_named_in_conclusion(monkeypatch):
+    from rostcalc import steenrod
+
+    honest = steenrod.valuation_bound
+
+    def weakened(prod):
+        v = honest(prod)
+        if prod.context.i == 4 and isinstance(v, ValAtLeast):
+            return ValAtLeast(1, v.rules[:1])
+        return v
+
+    monkeypatch.setattr(steenrod, "valuation_bound", weakened)
+    rep = audit_rationality(make_params(3, 2), 2, 2)
+    assert not rep.passed
+    first = next(c for c in rep.cases
+                 if isinstance(c.verdict, ValAtLeast) and c.verdict.value == 1)
+    assert f"case {first.index}: val>=1 via " in rep.conclusion
+
+
+def test_replay_recounts_class_weights():
+    rep = audit_rationality(make_params(3, 2), 2, 2)
+    assert sum(c.weight > 1 for c in rep.cases) > 0
+    cases = tuple(
+        replace(c, product=replace(c.product, weight=c.weight + 1))
+        if c.weight > 1 else c for c in rep.cases)
+    check = replay(replace(rep, cases=cases))
+    assert [name for name, _ in check.failures()] == ["class weights recounted"]
