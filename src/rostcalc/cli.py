@@ -90,19 +90,7 @@ def build_parser():
     return top
 
 
-# --- serialization helpers ---------------------------------------------------
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(doc):
-    return json.dumps(doc, indent=2) + "\n"
+# --- output --------------------------------------------------------------------
 
 
 def _param_doc(params):
@@ -110,7 +98,19 @@ def _param_doc(params):
             "d": params.d, "e": str(params.e)}
 
 
-def _emit(text):
+def _write(fmt, doc, header, rows, lines):
+    """Write a command's payload to stdout in ``fmt``: ``doc`` as indented
+    json, ``header`` and ``rows`` as csv, or ``lines`` as text."""
+    if fmt == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(f"{line}\n" for line in lines)
     sys.stdout.write(text)
 
 
@@ -119,12 +119,8 @@ def _emit(text):
 
 def cmd_params(ns, params):
     doc = _param_doc(params)
-    if ns.format == "json":
-        _emit(_json_text(doc))
-    elif ns.format == "csv":
-        _emit(_csv_text(list(doc), [[doc[k] for k in doc]]))
-    else:
-        _emit("".join(f"{k} = {v}\n" for k, v in doc.items()))
+    _write(ns.format, doc, list(doc), [list(doc.values())],
+           [f"{k} = {v}" for k, v in doc.items()])
     return 0
 
 
@@ -155,35 +151,26 @@ def cmd_chow(ns, params):
         trace = table.trace
 
     groups = []
+    lines = [f"Chow groups, p={params.p} n={params.n} (method {ns.method})"]
     for j in range(params.d + 1):
         desc = table.entries[j]
         entry = {"j": j, "kind": desc.kind}
+        line = f"j={j}: {desc.kind}"
         prov = _provenance(desc, params)
         if prov:
             entry["provenance"] = prov
-        groups.append(entry)
-
-    if ns.format == "json":
-        doc = _param_doc(params)
-        doc["method"] = ns.method
-        doc["groups"] = groups
+            line += f"  [{prov}]"
         if ns.trace:
-            doc["trace"] = {str(j): trace[j] for j in range(params.d + 1)}
-        _emit(_json_text(doc))
-    elif ns.format == "csv":
-        _emit(_csv_text(["j", "kind"],
-                        [[g["j"], g["kind"]] for g in groups]))
-    else:
-        lines = [f"Chow groups, p={params.p} n={params.n} "
-                 f"(method {ns.method})"]
-        for g in groups:
-            line = f"j={g['j']}: {g['kind']}"
-            if "provenance" in g:
-                line += f"  [{g['provenance']}]"
-            if ns.trace:
-                line += f"  -- {trace[g['j']]}"
-            lines.append(line)
-        _emit("\n".join(lines) + "\n")
+            line += f"  -- {trace[j]}"
+        groups.append(entry)
+        lines.append(line)
+    doc = _param_doc(params)
+    doc["method"] = ns.method
+    doc["groups"] = groups
+    if ns.trace:
+        doc["trace"] = {str(j): trace[j] for j in range(params.d + 1)}
+    _write(ns.format, doc, ["j", "kind"],
+           [[g["j"], g["kind"]] for g in groups], lines)
     return 0
 
 
@@ -222,17 +209,10 @@ def cmd_motcoh(ns, params):
                  for mo in motcoh.enumerate_monomials(i, j, params)]
         doc.update({"i": i, "j": j, "monomials": monos})
         head = f"H^({i},{j}): {len(monos)} monomial(s)"
-
-    if ns.format == "json":
-        _emit(_json_text(doc))
-    elif ns.format == "csv":
-        _emit(_csv_text(["m", "k", "eps", "text"],
-                        [_monomial_row(mo) for mo in doc["monomials"]]))
-    else:
-        lines = [head]
-        lines += [f"  {mo['text']}  (m={mo['m']}, k={mo['k']}, "
-                  f"eps={mo['eps']})" for mo in doc["monomials"]]
-        _emit("\n".join(lines) + "\n")
+    lines = [head] + [f"  {mo['text']}  (m={mo['m']}, k={mo['k']}, "
+                      f"eps={mo['eps']})" for mo in monos]
+    _write(ns.format, doc, ["m", "k", "eps", "text"],
+           [_monomial_row(mo) for mo in monos], lines)
     return 0
 
 
@@ -246,39 +226,29 @@ def cmd_verify(ns, params):
         failed += len(report.failures())
         total += len(report.checks)
     lines.append(f"{total - failed}/{total} checks passed")
-    _emit("\n".join(lines) + "\n")
+    _write("text", None, None, None, lines)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return 1
     return 0
 
 
-def _eval_table(result):
-    """The type name, the csv header, the csv rows and the json value of
-    an eval result."""
-    name, header, rows, json_value = VALUE_TYPES[type(result)]
-    rows = rows(result)
-    if json_value is None:
-        return name, header, rows, [dict(zip(header, row)) for row in rows]
-    return name, header, rows, json_value(result)
-
-
 def cmd_eval(ns, params):
     ast = parse(ns.expr)
     result = evaluate(ast, params)
     if ns.format == "text":
-        if isinstance(result, bool):
-            _emit("true\n" if result else "false\n")
-        else:
-            _emit(f"{result}\n")
+        # small text calls dominate eval traffic: build no json or csv value
+        text = (("true" if result else "false") if isinstance(result, bool)
+                else result)
+        _write("text", None, None, None, [text])
         return 0
-    name, header, rows, value = _eval_table(result)
-    if ns.format == "json":
-        doc = _param_doc(params)
-        doc.update({"expr": to_source(ast), "type": name, "value": value})
-        _emit(_json_text(doc))
-    else:
-        _emit(_csv_text(header, rows))
+    name, header, rows, json_value = VALUE_TYPES[type(result)]
+    rows = rows(result)
+    doc = _param_doc(params)
+    doc.update({"expr": to_source(ast), "type": name,
+                "value": ([dict(zip(header, row)) for row in rows]
+                          if json_value is None else json_value(result))})
+    _write(ns.format, doc, header, rows, None)
     return 0
 
 
@@ -287,48 +257,38 @@ def cmd_audit(ns, params):
         if ns.s is None or ns.r is not None:
             raise ValueError("--rationality takes -m M and -s S")
         report = steenrod.audit_rationality(params, ns.m, ns.s)
-        arg_key, arg_val = "s", ns.s
     else:
         if ns.r is None or ns.s is not None:
             raise ValueError("--generators takes -m M and -r R")
         report = steenrod.audit_generators(params, ns.m, ns.r)
-        arg_key, arg_val = "r", ns.r
 
     counts = report.counts()
     terms = sum(counts.values())
     leading = report.leading
-    if ns.format == "json":
-        doc = _param_doc(params)
-        doc.update({
-            "kind": report.kind,
-            "m": ns.m,
-            arg_key: arg_val,
-            "premises": list(report.premises),
-            "support": [{"name": name, "ok": ok, "detail": detail}
-                        for name, ok, detail in report.support],
-            "cases": terms,
-            "verdicts": counts,
-            "leading": leading.describe() if leading else None,
-            "conclusion": report.conclusion,
-            "passed": report.passed,
-        })
-        _emit(_json_text(doc))
-    elif ns.format == "csv":
-        rows = [["kind", report.kind], ["m", ns.m], [arg_key, arg_val],
-                ["cases", terms],
-                ["zero", counts["zero"]], ["at-least", counts["at-least"]],
-                ["exact", counts["exact"]],
-                ["passed", "true" if report.passed else "false"]]
-        _emit(_csv_text(["key", "value"], rows))
-    else:
-        lines = report.header_lines()
-        lines.append(f"cases: {terms} (zero={counts['zero']}, "
-                     f"at-least={counts['at-least']}, "
-                     f"exact={counts['exact']})")
-        if leading:
-            lines.append(f"leading {leading.describe()}")
-        lines.append(report.conclusion)
-        _emit("\n".join(lines) + "\n")
+    doc = _param_doc(params)
+    doc.update({
+        "kind": report.kind,
+        **dict(report.args),
+        "premises": list(report.premises),
+        "support": [{"name": name, "ok": ok, "detail": detail}
+                    for name, ok, detail in report.support],
+        "cases": terms,
+        "verdicts": counts,
+        "leading": leading.describe() if leading else None,
+        "conclusion": report.conclusion,
+        "passed": report.passed,
+    })
+    rows = [["kind", report.kind], *report.args, ["cases", terms],
+            ["zero", counts["zero"]], ["at-least", counts["at-least"]],
+            ["exact", counts["exact"]],
+            ["passed", "true" if report.passed else "false"]]
+    lines = report.header_lines()
+    lines.append(f"cases: {terms} (zero={counts['zero']}, "
+                 f"at-least={counts['at-least']}, exact={counts['exact']})")
+    if leading:
+        lines.append(f"leading {leading.describe()}")
+    lines.append(report.conclusion)
+    _write(ns.format, doc, ["key", "value"], rows, lines)
     return 0 if report.passed else 1
 
 

@@ -25,7 +25,7 @@ from .arith import is_local
 from .corresp import (Corr, action_on_class, basis, comp_power, diag_pullback,
                       mult, rho, rost_projector, sigma, to_tuple, transpose)
 from .endalg import EndTuple, invert, is_rational
-from .splitring import ChowClass, h_power, scalar_power
+from .splitring import ChowClass, _check_coeff_size, h_power, scalar_power
 
 MAX_DEPTH = 100
 _TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
@@ -355,9 +355,17 @@ def evaluate(node, params):
 
     def rec(n):
         if n.kind == "Atom":
-            return atom(n)
-        if n.kind == "Call":
-            return call(n)
+            value = atom(n)
+        elif n.kind == "Call":
+            value = call(n)
+        else:
+            value = operate(n)
+        try:
+            return _check_coeff_size(value, "value")
+        except ValueError as err:
+            raise EvalError(n.pos, str(err)) from err
+
+    def operate(n):
         op = _KINDS[n.kind]
         operands = [rec(c) for c in n.children]
         if n.kind == "ComposePow" and n.value < 1:

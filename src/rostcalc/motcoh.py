@@ -91,11 +91,11 @@ def enumerate_monomials(i, j, params):
             if m < 0 or m - 2 * k - sum(eps) + (n - 2) != w:
                 continue
             mono = MCMonomial(m, k, eps)
-            assert bidegree_of(mono, params) == Bidegree(i, j)
-            if j <= params.d:
-                assert mono.k == 0 and mono.eps[-1] == 0, (
-                    f"monomial {mono} violates the k=0, eps_n=0 constraint at j={j}"
-                )
+            if bidegree_of(mono, params) != Bidegree(i, j):
+                raise ValueError(f"monomial {mono} does not land in ({i}, {j})")
+            if j <= params.d and (mono.k != 0 or mono.eps[-1] != 0):
+                raise ValueError(
+                    f"monomial {mono} violates the k=0, eps_n=0 constraint at j={j}")
             found.append(mono)
     found.sort(key=lambda mo: (mo.m, mo.k, mo.eps))
     return found
@@ -104,7 +104,8 @@ def enumerate_monomials(i, j, params):
 def _group_from(monos, params):
     if not monos:
         return MCGroup((), "0")
-    assert len(monos) == 1, f"expected at most one monomial family per row, got {monos}"
+    if len(monos) != 1:
+        raise ValueError(f"expected at most one monomial family per row, got {monos}")
     mono = monos[0]
     label = f"Z/{params.p}" if mono.m == 0 else f"K_{mono.m}^s"
     return MCGroup(tuple(monos), label)

@@ -37,9 +37,6 @@ class RostChowTable:
     entries: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
 
-    def kinds(self):
-        return {j: desc.kind for j, desc in sorted(self.entries.items())}
-
     def nonzero(self):
         return [j for j in sorted(self.entries) if self.entries[j].kind != "zero"]
 

@@ -46,19 +46,25 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
     return SymbolParams(p=p, n=n, b=b, c=c, d=d, e=e)
 
 
-# Powers by repeated squaring, and the scalar and tuple powers of ``eval``,
-# refuse to build a coefficient whose numerator or denominator has more
-# bits than this, well inside the 4,300 decimal digits Python will print,
-# so a huge exponent fails at once and not after minutes.
+# Powers by repeated squaring and every value ``eval`` builds refuse a
+# coefficient whose numerator or denominator has more bits than this, well
+# inside the 4,300 decimal digits Python will print, so a huge exponent
+# fails at once and not after minutes.
 MAX_COEFF_BITS = 10_000
 
 
-def _check_coeff_size(x):
-    values = x._coeffs.values() if isinstance(x, SparseVec) else (x,)
+def _check_coeff_size(x, what="power"):
+    """Return x, or raise ValueError if a coefficient of it passes
+    MAX_COEFF_BITS.  x is a scalar, a boolean, a SparseVec or an entry
+    tuple."""
+    if isinstance(x, SparseVec):
+        values = x._coeffs.values()
+    else:
+        values = getattr(x, "entries", (x,))
     for v in values:
-        if max(v.numerator.bit_length(),
-               v.denominator.bit_length()) > MAX_COEFF_BITS:
-            raise ValueError(f"power too large: a coefficient would pass "
+        if (v.numerator.bit_length() > MAX_COEFF_BITS
+                or v.denominator.bit_length() > MAX_COEFF_BITS):
+            raise ValueError(f"{what} too large: a coefficient would pass "
                              f"{MAX_COEFF_BITS} bits")
     return x
 

@@ -125,13 +125,6 @@ class SteenProduct:
                 counts[a.kind] += 1
         return counts
 
-    def composition(self):
-        """The Cartan composition this term came from (ascending)."""
-        parts = [0] * self.classify()["sigma"]
-        parts += [a.index for a in self.atoms
-                  if a.kind in ("theta", "second", "third")]
-        return tuple(sorted(parts))
-
     def __str__(self):
         atoms = "*".join(str(a) for a in self.atoms) or "1"
         return f"{self.scalar}*{atoms}" if self.scalar != 1 else atoms
@@ -149,14 +142,12 @@ class Zero:
 class ValExactly:
     value: int
     premises: tuple = ()
-    note: str = ""
 
 
 @dataclass(frozen=True)
 class RuleApp:
     rule: str
     atoms: tuple = ()
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -299,21 +290,7 @@ def substitute_dcmp(expansion, context=None):
 # --- the rule engine -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _xdecomp_rule(p, b, m, s, k):
-    """x-decomp-vanishes with a note on every component of the point-
-    splitting of x it cannot bound; computed once per (p, b, m, s, k)."""
-    notes = []
-    if k < s:
-        notes.append("base component: pairing underflow (k < s)")
-    elif k > s:
-        notes.append("base component: S^(k-s) of the unit class is zero")
-    for rr in range(1, p):
-        lhs = s + rr * b
-        rhs = (m - rr * b) * (p - 1)
-        if lhs <= rhs:
-            notes.append(f"component {rr} NOT bounded: {lhs} <= {rhs}")
-    return RuleApp("x-decomp-vanishes", (), "; ".join(notes))
+_XDECOMP = RuleApp("x-decomp-vanishes")
 
 
 def valuation_bound(prod):
@@ -323,7 +300,7 @@ def valuation_bound(prod):
     ctx = prod.context
     if ctx is None:
         raise ValueError("cannot audit: product has no pairing context")
-    p, b, d = ctx.params.p, ctx.params.b, ctx.params.d
+    b, d = ctx.params.b, ctx.params.d
     counts = prod.classify()
     n_theta, n_second, n_third = (counts["theta"], counts["second"],
                                   counts["third"])
@@ -339,33 +316,24 @@ def valuation_bound(prod):
             return ValAtLeast(2, (RuleApp("split-pairing", (chern, second)),))
         if n_third >= 1:
             return Zero("proj1-sigma-power-zero")
-        return ValExactly(1, ("top-chern-y-degree", "unit-pairing-degree"),
-                          note="leading term deg(bY_%d)*e" % ctx.i)
+        return ValExactly(1, ("top-chern-y-degree", "unit-pairing-degree"))
 
     if ctx.kind != "rationality":
         raise ValueError(f"cannot audit: unknown pairing kind {ctx.kind!r}")
 
+    # audit_rationality emits the Chern-overflow and invalid-S^k zeros
+    # before it builds a context, so no product reaches them here
     chern_i, chern_j = ctx.chern
-    # structural zeros first
-    if ctx.i > d or ctx.j > d:
-        return Zero("chern-index-overflow")
-    if not steen_index_valid(ctx.k, p):
-        return Zero("steenrod-index-invalid")
-    xdecomp = _xdecomp_rule(p, b, ctx.m, ctx.s, ctx.k)
-
     if ctx.l == 0:
         if ctx.i == d and ctx.j == 0:
-            return ValExactly(
-                1, ("top-chern-degree", "unit-pairing-degree"),
-                note=f"leading term deg(b_{d})*S^{ctx.s}(x_0); "
-                     "pairing coefficient binom(p-1,0) = 1")
+            return ValExactly(1, ("top-chern-degree", "unit-pairing-degree"))
         if ctx.i % b:
             return Zero("rho-pairing-zero")
         rules = [RuleApp("rational-pairing", (chern_i,))]
         if ctx.j > 0:
             rules.append(RuleApp("rational-pairing", (chern_j,)))
         else:
-            rules.append(xdecomp)
+            rules.append(_XDECOMP)
         return ValAtLeast(2, tuple(rules))
 
     # l > 0: the term carries an actual sigma expansion
@@ -376,7 +344,7 @@ def valuation_bound(prod):
     if n_theta == 1:
         first = RuleApp("theta-carries-p", (thetas[0],))
         if ctx.k != ctx.s:
-            return ValAtLeast(2, (first, xdecomp))
+            return ValAtLeast(2, (first, _XDECOMP))
         if ctx.j > 0:
             return ValAtLeast(2, (first,
                                   RuleApp("rational-pairing", (chern_j,))))
@@ -385,7 +353,7 @@ def valuation_bound(prod):
     # no theta
     if ctx.k != ctx.s:
         return ValAtLeast(2, (RuleApp("rational-pairing", (chern_i,)),
-                              xdecomp))
+                              _XDECOMP))
     if ctx.j > 0:
         return ValAtLeast(2, (RuleApp("split-pairing", (chern_i, chern_j)),))
     if n_second >= 1:
@@ -492,6 +460,17 @@ def _conclude(cases, support, pass_text, fail_text):
 # --- the two audits --------------------------------------------------------------
 
 
+def _index_cases(index, ctx, leading):
+    """The audit cases of one index: a cartan-empty zero, or one case per
+    count class of S^l over the context's sigma power (ctx.r factors,
+    ctx.l the Steenrod degree on it)."""
+    expansion = cartan_expand(ctx.r, ctx.l, ctx.params.p)
+    if not expansion:
+        return [AuditCase(index, None, Zero("cartan-empty"))]
+    return [AuditCase(index, prod, valuation_bound(prod), leading)
+            for prod in substitute_dcmp(expansion, ctx)]
+
+
 def rationality_arguments(params):
     """All (m, s) the rationality audit claims: 0 <= m <= d, s a Steenrod-
     valid index with (m - b)(p-1) < s <= d."""
@@ -574,18 +553,11 @@ def audit_rationality(params, m, s):
                     cases.append(AuditCase((i, j, k, l), None,
                                            Zero("steenrod-index-invalid")))
                     continue
-                expansion = cartan_expand(p - 1, l, p)
-                if not expansion:
-                    cases.append(AuditCase((i, j, k, l), None,
-                                           Zero("cartan-empty")))
-                    continue
                 ctx = PairingContext(
                     "rationality", params, m, s, p - 1, i, j, k, l,
                     (SteenAtom("chern_x", i), SteenAtom("chern_x", j)))
-                leading = l == 0 and i == d and j == 0
-                for prod in substitute_dcmp(expansion, ctx):
-                    cases.append(AuditCase((i, j, k, l), prod,
-                                           valuation_bound(prod), leading))
+                cases += _index_cases((i, j, k, l), ctx,
+                                      l == 0 and i == d and j == 0)
 
     ok, conclusion = _conclude(
         cases, support,
@@ -638,16 +610,7 @@ def audit_generators(params, m, r):
         i = dim_y - j
         ctx = PairingContext("generators", params, m, j, r, i, j, 0, j,
                              (SteenAtom("chern_y", i),))
-        if j == 0:
-            prod = SteenProduct((SteenAtom("sigma"),) * r, 1, ctx)
-            cases.append(AuditCase((i, j), prod, valuation_bound(prod), True))
-            continue
-        expansion = cartan_expand(r, j, p)
-        if not expansion:
-            cases.append(AuditCase((i, j), None, Zero("cartan-empty")))
-            continue
-        for prod in substitute_dcmp(expansion, ctx):
-            cases.append(AuditCase((i, j), prod, valuation_bound(prod)))
+        cases += _index_cases((i, j), ctx, j == 0)
 
     ok, conclusion = _conclude(
         cases, support,

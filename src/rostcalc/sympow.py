@@ -195,9 +195,10 @@ def verify_somesome(params):
     if params.p == 2:
         report.add("index range 2..p-1", True, "vacuously true: no indices to check")
         return report
+    prev = build_morphisms(1, params)
+    comp = prev["y"]  # y_1 ... y_i, extended by one factor per i
     for i in range(2, params.p):
         cur = build_morphisms(i, params)
-        prev = build_morphisms(i - 1, params)
         lhs = (cur["y"] @ cur["b"]) - (prev["b"] @ tensor_map_with_id(prev["y"], params))
         rhs = id_tensor_y(i - 1, params)
         report.add(f"(1) y_{i} b_{i} - b_{i-1}(y_{i-1}(x)id) = id(x)y", lhs.same_matrix(rhs))
@@ -206,10 +207,9 @@ def verify_somesome(params):
         rhs2 = cur["r"].scale(i)
         report.add(f"(2) r_{i-1} y_{i} = {i}*r_{i}", lhs2.same_matrix(rhs2))
 
-        comp = build_morphisms(1, params)["y"]
-        for t in range(2, i + 1):
-            comp = comp @ build_morphisms(t, params)["y"]
+        comp = comp @ cur["y"]
         report.add(f"(3) y_1..y_{i} = {i}!*r_{i}", comp.same_matrix(cur["r"].scale(factorial(i))))
+        prev = cur
     return report
 
 
@@ -241,20 +241,19 @@ def verify_manyi_ccom(params):
 
     s = s_map(params)
     degenerate = " [degenerate: s = identity scale]" if p == 2 else ""
-    y1 = build_morphisms(1, params)["y"]
+    first = build_morphisms(1, params)
     top = build_morphisms(p - 1, params)
-    lhs = y1 @ s
+    lhs = first["y"] @ s
     report.add(f"y s = {p - 1}*r_{p-1}{degenerate}", lhs.same_matrix(top["r"].scale(p - 1)))
 
-    x1 = build_morphisms(1, params)["x"]
     if p == 2:
         # s = id on Sym^1, so the square collapses to x_1 = x r_0(b)
-        lhs2 = s @ x1
-        rhs2 = x1 @ identity_map(sym_module(0, params))
+        lhs2 = s @ first["x"]
+        rhs2 = first["x"] @ identity_map(sym_module(0, params))
     else:
         prev_top = build_morphisms(p - 2, params)
         lhs2 = s @ top["x"]
-        rhs2 = x1 @ prev_top["r"]
+        rhs2 = first["x"] @ prev_top["r"]
     report.add(
         f"s x_{p-1} = x r_{p-2}(b){degenerate}",
         lhs2.same_matrix(rhs2) and lhs2.shift == rhs2.shift,
@@ -262,39 +261,26 @@ def verify_manyi_ccom(params):
     return report
 
 
-def _rank_q(matrix):
-    """Row rank over the rationals by fraction-exact elimination."""
-    m = [[Fraction(a) for a in row] for row in matrix]
+def _rank(matrix, p=None):
+    """Row rank by exact elimination: over the rationals, or over F_p when
+    p is given (the entries must then be p-integral)."""
+    if p is None:
+        m = [[Fraction(a) for a in row] for row in matrix]
+    else:
+        m = [[reduce_mod(a, p) for a in row] for row in matrix]
     rank, cols = 0, (len(m[0]) if m else 0)
     for c in range(cols):
         piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [a * inv for a in m[rank]]
+        inv = 1 / m[rank][c] if p is None else pow(m[rank][c], -1, p)
         for r in range(len(m)):
             if r != rank and m[r][c]:
-                f = m[r][c]
+                f = m[r][c] * inv
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _rank_p(matrix, p):
-    m = [[reduce_mod(a, p) for a in row] for row in matrix]
-    rank, cols = 0, (len(m[0]) if m else 0)
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [a * inv % p for a in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] % p:
-                f = m[r][c]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+                if p is not None:
+                    m[r] = [a % p for a in m[r]]
         rank += 1
     return rank
 
@@ -304,8 +290,8 @@ def _split_exact(f, g, p):
     if not (g @ f).is_zero():
         return False, "g f != 0"
     dim = f.target.dim
-    rq_f, rq_g = _rank_q(f.matrix), _rank_q(g.matrix)
-    rp_f, rp_g = _rank_p(f.matrix, p), _rank_p(g.matrix, p)
+    rq_f, rq_g = _rank(f.matrix), _rank(g.matrix)
+    rp_f, rp_g = _rank(f.matrix, p), _rank(g.matrix, p)
     if rq_f + rq_g != dim:
         return False, f"rational ranks {rq_f}+{rq_g} != {dim}"
     if (rp_f, rp_g) != (rq_f, rq_g):

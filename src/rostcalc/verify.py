@@ -75,15 +75,17 @@ def _random_rational_tuple(rng, p):
     return EndTuple(p, entries)
 
 
-def suite_endalg(params, samples=200, seed=None):
+ENDALG_SAMPLES = 200
+
+
+def suite_endalg(params):
     p = params.p
-    if seed is None:
-        seed = 1009 * p + params.n
+    seed = 1009 * p + params.n
     rng = random.Random(seed)
     report = CheckReport(f"endalg p={p} n={params.n}")
 
     closed_add = closed_mul = closed_pow = closed_scale = True
-    for _ in range(samples):
+    for _ in range(ENDALG_SAMPLES):
         t1 = _random_rational_tuple(rng, p)
         t2 = _random_rational_tuple(rng, p)
         closed_add &= is_rational(t1) and is_rational(t1 + t2)
@@ -91,14 +93,14 @@ def suite_endalg(params, samples=200, seed=None):
         closed_pow &= is_rational(t1 ** rng.randrange(5))
         unit = Fraction(rng.choice([u for u in range(1, 10) if u % p != 0]))
         closed_scale &= is_rational(t1.scale(unit * p) + t2)
-    note = f"{samples} samples, seed {seed}"
+    note = f"{ENDALG_SAMPLES} samples, seed {seed}"
     report.add("closure under +", closed_add, note)
     report.add("closure under *", closed_mul, note)
     report.add("closure under powers", closed_pow, note)
     report.add("closure under p-unit rescaling mod p", closed_scale, note)
 
     inv_ok = True
-    for _ in range(samples):
+    for _ in range(ENDALG_SAMPLES):
         entries = tuple(
             Fraction(rng.randrange(1, p) + p * rng.randrange(-5, 6))
             for _ in range(p))

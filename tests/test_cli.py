@@ -312,6 +312,7 @@ HOSTILE_EVAL = {
     "growing class power": ("(3*H^0+H^1)^100000000", 2, ""),
     "huge scalar power": ("2^100000000", 2, ""),
     "growing composition power 10^8": ("(2*pi)^@100000000", 2, ""),
+    "product of in-bound powers": ("2^9000 * 2^9000", 2, ""),
 }
 
 
@@ -337,6 +338,15 @@ def test_eval_power_bound_message(capsys, expr):
     code, out, err = run(capsys, "eval", "-p", "3", "-n", "2", expr)
     assert (code, out) == (2, "")
     assert "power too large: a coefficient would pass 10000 bits" in err
+
+
+@pytest.mark.parametrize("expr", ["2^9000 * 2^9000", "2^6000 * 2^6000",
+                                  "tuple(2^6000*pi) * tuple(2^6000*pi)",
+                                  "(2^9999*H^0) * (2*H^0)"])
+def test_eval_value_bound_message(capsys, expr):
+    code, out, err = run(capsys, "eval", "-p", "3", "-n", "2", expr)
+    assert (code, out) == (2, "")
+    assert "value too large: a coefficient would pass 10000 bits" in err
 
 
 def test_eval_power_at_the_bound(capsys):

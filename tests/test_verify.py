@@ -48,16 +48,9 @@ def test_report_lines_mention_suite_and_params():
 
 
 def test_endalg_deterministic():
-    a = suite_endalg(P32, samples=50)
-    b = suite_endalg(P32, samples=50)
+    a = suite_endalg(P32)
+    b = suite_endalg(P32)
     assert a.checks == b.checks
-
-
-def test_endalg_seed_changes_notes():
-    a = suite_endalg(P32, samples=20, seed=1)
-    b = suite_endalg(P32, samples=20, seed=2)
-    assert a.passed and b.passed
-    assert a.checks != b.checks  # the seed is recorded in the detail field
 
 
 def test_steenrod_args_full_grid_small_d():
