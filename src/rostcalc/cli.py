@@ -7,6 +7,7 @@ all checks pass, 1 a verification or audit failed, 2 invalid input
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -27,7 +28,10 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(str(err))
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The parser, built once per process: parse_args leaves it unchanged,
+    and help text reads the terminal width when it is formatted."""
     top = argparse.ArgumentParser(
         prog="rostcalc",
         description="Exact split-model calculus for norm-variety motives.")

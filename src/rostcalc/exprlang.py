@@ -25,10 +25,14 @@ from .arith import is_local
 from .corresp import (Corr, action_on_class, basis, comp_power, diag_pullback,
                       mult, rho, rost_projector, sigma, to_tuple, transpose)
 from .endalg import EndTuple, invert, is_rational
-from .splitring import ChowClass, _check_coeff_size, h_power, scalar_power
+from .splitring import (MAX_COEFF_BITS, ChowClass, _check_coeff_size,
+                        h_power, scalar_power)
 
 MAX_DEPTH = 100
 _TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
+# the longest run of digits Python converts to an int; a number literal
+# this long has far more than MAX_COEFF_BITS bits
+MAX_LITERAL_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,15 @@ class _Parser:
     def expect_int(self):
         if self.peek().kind != "INT":
             self.fail("INT")
-        return int(self.advance().lexeme)
+        return self.number(self.advance(), int)
+
+    def number(self, tok, convert):
+        """convert() of the lexeme of an INT or RATIONAL token."""
+        if any(len(run) > MAX_LITERAL_DIGITS for run in tok.lexeme.split("/")):
+            raise EvalError((tok.line, tok.column),
+                            f"value too large: a coefficient would pass "
+                            f"{MAX_COEFF_BITS} bits")
+        return convert(tok.lexeme)
 
     def parse_binary(self, level=1):
         """Binary operators of precedence >= level, left-associative."""
@@ -279,7 +291,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "INT" or tok.kind == "RATIONAL":
-            value = ("scalar", Fraction(tok.lexeme))
+            value = ("scalar", self.number(tok, Fraction))
         elif tok.lexeme == "(":
             node = self.parse_binary()
             self.expect_punct(")")

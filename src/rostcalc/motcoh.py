@@ -7,10 +7,20 @@ are applied to the base class delta.  Bidegrees follow
 
     j = m + (c-1)*k + sum_t eps_t*(p^t - 1) + n
     w = m - 2k - |eps| + (n - 2),   i = 2j - w.
+
+Adding the two, sum_t eps_t*(p^t - 1) + |eps| = sum_t eps_t*p^t, so
+
+    v = j - w - 2 - (c+1)*k = sum_{t=1..n} eps_t*p^t,
+
+which lies in [0, p + ... + p^n] = [0, p*b].  Since c + 1 = p*b + 2, two
+values of k give values of v more than p*b apart, so at most one k fits:
+k = (j - w - 2) // (c+1).  Then eps is the base-p expansion of v/p, and a
+bidegree has a monomial only if p divides v and every one of its n digits
+is 0 or 1 with nothing left over.  enumerate_monomials therefore does O(n)
+work per bidegree, not a scan of all 2^n eps vectors.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .splitring import SymbolParams
 
@@ -74,31 +84,45 @@ def bidegree_of(mono, params):
     return Bidegree(2 * j - w, j)
 
 
+def _eps_of(v, params):
+    """The eps with sum_t eps_t*p^t = v, or None if v is no such sum."""
+    q, rem = divmod(v, params.p)
+    if rem:
+        return None
+    eps = []
+    for _ in range(params.n):
+        q, digit = divmod(q, params.p)
+        if digit > 1:
+            return None
+        eps.append(digit)
+    return None if q else eps
+
+
 def enumerate_monomials(i, j, params):
-    """All (m, k, eps) landing in bidegree (i, j); (0, 0) is the constant spot."""
+    """All (m, k, eps) landing in bidegree (i, j); (0, 0) is the constant spot.
+
+    There is at most one (see the module docstring), so the list is sorted.
+    """
     if (i, j) == (0, 0):
         return [CONSTANT_CLASS]
     if j < 0 or i <= j:
         raise ValueError(f"bidegree ({i}, {j}) outside classification range")
-    found = []
-    # every term in the j-formula is nonnegative, so m <= j and k <= j/(c-1);
-    # within those bounds m is pinned by the j-formula, leaving a finite scan
-    p, n = params.p, params.n
+    p, n, c = params.p, params.n, params.c
     w = 2 * j - i
-    for k in range(j // (params.c - 1) + 1):
-        for eps in product((0, 1), repeat=n):
-            m = j - (params.c - 1) * k - sum(b * (p ** (t + 1) - 1) for t, b in enumerate(eps)) - n
-            if m < 0 or m - 2 * k - sum(eps) + (n - 2) != w:
-                continue
-            mono = MCMonomial(m, k, eps)
-            if bidegree_of(mono, params) != Bidegree(i, j):
-                raise ValueError(f"monomial {mono} does not land in ({i}, {j})")
-            if j <= params.d and (mono.k != 0 or mono.eps[-1] != 0):
-                raise ValueError(
-                    f"monomial {mono} violates the k=0, eps_n=0 constraint at j={j}")
-            found.append(mono)
-    found.sort(key=lambda mo: (mo.m, mo.k, mo.eps))
-    return found
+    k, v = divmod(j - w - 2, c + 1)
+    eps = _eps_of(v, params) if k >= 0 else None
+    if eps is None:
+        return []
+    m = j - (c - 1) * k - sum(b * (p ** (t + 1) - 1) for t, b in enumerate(eps)) - n
+    if m < 0:
+        return []
+    mono = MCMonomial(m, k, eps)
+    if bidegree_of(mono, params) != Bidegree(i, j):
+        raise ValueError(f"monomial {mono} does not land in ({i}, {j})")
+    if j <= params.d and (mono.k != 0 or mono.eps[-1] != 0):
+        raise ValueError(
+            f"monomial {mono} violates the k=0, eps_n=0 constraint at j={j}")
+    return [mono]
 
 
 def _group_from(monos, params):

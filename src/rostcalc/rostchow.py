@@ -41,24 +41,26 @@ class RostChowTable:
         return [j for j in sorted(self.entries) if self.entries[j].kind != "zero"]
 
 
-def _torsion_position(j, params):
-    """Return (k, i) if j = b*k - p^i + 1 for 1<=k<=p-1, 1<=i<=n-1, else None."""
-    for k in range(1, params.p):
-        t = params.b * k + 1 - j
-        if t < params.p:
-            continue
-        i, q = 0, 1
-        while q < t:
-            q *= params.p
-            i += 1
-        if q == t and 1 <= i <= params.n - 1:
-            return (k, i)
-    return None
+#: the largest table, in rows (d + 1), that either engine builds; at
+#: (2, 60) one would need 2^60 rows
+MAX_TABLE_ROWS = 2**17
+
+
+def _check_table_size(params):
+    if params.d + 1 > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"table too large: d + 1 = {params.d + 1} rows at p={params.p} "
+            f"n={params.n}, more than {MAX_TABLE_ROWS}")
 
 
 def closed_form(params):
+    _check_table_size(params)
     table = RostChowTable(params, "closed")
     b, p = params.b, params.p
+    # j = b*k - p^i + 1 for 1 <= k <= p-1, 1 <= i <= n-1; no two (k, i)
+    # give the same j, since 1 < p^i < b
+    torsion = {b * k - p**i + 1: (k, i)
+               for k in range(1, p) for i in range(1, params.n)}
     for j in range(params.d + 1):
         if j == 0:
             table.entries[j] = FREE
@@ -67,15 +69,13 @@ def closed_form(params):
             k = j // b
             table.entries[j] = ChowGroupDesc("p_free", k=k)
             table.trace[j] = f"closed form: index-p free part at j=b*{k}"
+        elif j in torsion:
+            k, i = torsion[j]
+            table.entries[j] = ChowGroupDesc("cyclic_p", k=k, i=i)
+            table.trace[j] = f"closed form: Z/{p} at j=b*{k}-p^{i}+1"
         else:
-            pos = _torsion_position(j, params)
-            if pos is not None:
-                k, i = pos
-                table.entries[j] = ChowGroupDesc("cyclic_p", k=k, i=i)
-                table.trace[j] = f"closed form: Z/{p} at j=b*{k}-p^{i}+1"
-            else:
-                table.entries[j] = ZERO
-                table.trace[j] = "closed form: zero"
+            table.entries[j] = ZERO
+            table.trace[j] = "closed form: zero"
     return table
 
 
@@ -101,6 +101,7 @@ def _expect_row(row, want_label, where, params):
 
 
 def recurrence(params):
+    _check_table_size(params)
     table = RostChowTable(params, "recurrence")
     p, n, b = params.p, params.n, params.b
     for j in range(params.d + 1):

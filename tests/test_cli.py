@@ -87,6 +87,17 @@ def test_help_exit_0(capsys):
     assert "params" in out and "audit" in out
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"],
+                                  ["params", "-n", "2"],
+                                  ["chow", "-p", "3", "-n", "2", "--format",
+                                   "xml"]])
+def test_repeated_call_same_result(argv, capsys):
+    # the parser is built once per process, and a second call reuses it
+    first = run(capsys, *argv)
+    assert first[0] in (0, 2) and first[1] + first[2]
+    assert run(capsys, *argv) == first
+
+
 # --- chow ----------------------------------------------------------------------
 
 
@@ -316,19 +327,49 @@ HOSTILE_EVAL = {
 }
 
 
+def run_subprocess(*argv):
+    """Run the real CLI process, failing the test if it takes over 5 s or
+    prints a traceback."""
+    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rostcalc.cli", *argv],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
 @pytest.mark.parametrize("name", sorted(HOSTILE_EVAL))
 def test_eval_hostile_input_subprocess(name):
     """The real CLI process ends in time with the contract's exit code and
     no traceback."""
     expr, code, out = HOSTILE_EVAL[name]
-    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rostcalc.cli", "eval", "-p", "3", "-n", "2",
-         "--", expr], capture_output=True, text=True, timeout=5, env=env)
+    proc = run_subprocess("eval", "-p", "3", "-n", "2", "--", expr)
     assert (proc.returncode, proc.stdout) == (code, out)
-    assert "Traceback" not in proc.stderr
+
+
+# name -> (argv, exit code, a line of stdout or of stderr)
+HOSTILE_ARGV = {
+    "motcoh at n=60": (["motcoh", "-p", "2", "-n", "60", "--bidegree",
+                        "200", "100"], 0, "H^(200,100): 0 monomial(s)"),
+    "motcoh at j=10^18": (["motcoh", "-p", "2", "-n", "1", "--bidegree",
+                           str(2 * 10**18 + 1), str(10**18)], 0,
+                          f"H^({2 * 10**18 + 1},{10**18}): 0 monomial(s)"),
+    "chow at n=60": (["chow", "-p", "2", "-n", "60"], 2,
+                     "table too large: d + 1 = 1152921504606846976 rows at "
+                     "p=2 n=60, more than 131072"),
+    "5,000-digit literal": (["eval", "-p", "3", "-n", "2", "9" * 5000], 2,
+                            "eval error at line 1 column 1: value too large: "
+                            "a coefficient would pass 10000 bits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ARGV))
+def test_hostile_argv_subprocess(name):
+    argv, code, line = HOSTILE_ARGV[name]
+    proc = run_subprocess(*argv)
+    assert proc.returncode == code
+    assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
 
 
 @pytest.mark.parametrize("expr", ["(2*pi)^@1000000000", "2^100000000",

@@ -9,6 +9,7 @@ from rostcalc.corresp import Corr, basis, rho, rost_projector, sigma
 from rostcalc.endalg import EndTuple
 from rostcalc.exprlang import (
     MAX_DEPTH,
+    MAX_LITERAL_DIGITS,
     EvalError,
     ExprSyntaxError,
     eval_source,
@@ -205,6 +206,32 @@ def test_max_depth_itself_parses():
     assert parse("(" * (MAX_DEPTH - 1) + "sigma" + ")" * (MAX_DEPTH - 1))
     assert parse("+".join(["sigma"] * MAX_DEPTH)).depth == MAX_DEPTH
     assert eval_source("-" * (MAX_DEPTH - 1) + "sigma", P32) == -sigma(P32)
+
+
+# each literal slot, with the column of the literal in it
+LITERAL_SLOTS = {"scalar": ("{}", 1), "numerator": ("{}/7", 1),
+                 "denominator": ("7/{}", 1), "E index": ("E(0,{})", 5),
+                 "H index": ("H^{}", 3), "power": ("sigma^{}", 7),
+                 "composition power": ("pi^@{}", 5)}
+
+
+@pytest.mark.parametrize("slot", sorted(LITERAL_SLOTS))
+def test_overlong_literal_is_too_large(slot):
+    template, column = LITERAL_SLOTS[slot]
+    with pytest.raises(EvalError) as exc:
+        parse(template.format("9" * (MAX_LITERAL_DIGITS + 1)))
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert str(exc.value).endswith(
+        "value too large: a coefficient would pass 10000 bits")
+
+
+def test_literal_at_the_digit_bound_parses():
+    digits = "1" * MAX_LITERAL_DIGITS
+    assert parse(f"E(0,{digits})").value == ("E", 0, int(digits))
+    assert parse(f"{digits}/7").value == ("scalar", Fraction(int(digits), 7))
+    # in range for the parser; the evaluator bounds the value itself
+    with pytest.raises(EvalError, match="value too large"):
+        eval_source(digits, P32)
 
 
 def test_function_requires_parens():

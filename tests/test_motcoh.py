@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -78,6 +79,52 @@ def test_qtilde_examples():
         qtilde(2, make_params(3, 2))
     with pytest.raises(ValueError):
         qtilde(1, make_params(5, 1))
+
+
+def scan_weight(j, pr):
+    """The scan enumerate_monomials replaced, kept as its oracle: every
+    k <= j/(c-1) and all 2^n eps vectors, with m pinned by the j-formula.
+    Returns {i: the sorted monomials of bidegree (i, j)}."""
+    found = {}
+    for k in range(j // (pr.c - 1) + 1):
+        for eps in product((0, 1), repeat=pr.n):
+            m = (j - (pr.c - 1) * k - pr.n
+                 - sum(b * (pr.p ** (t + 1) - 1) for t, b in enumerate(eps)))
+            if m >= 0:
+                w = m - 2 * k - sum(eps) + (pr.n - 2)
+                found.setdefault(2 * j - w, []).append(MCMonomial(m, k, eps))
+    return {i: sorted(monos, key=lambda mo: (mo.m, mo.k, mo.eps))
+            for i, monos in found.items()}
+
+
+SCAN_GRID = ([(2, n) for n in range(1, 6)] + [(3, n) for n in range(2, 5)]
+             + [(5, 2), (5, 3), (7, 2)])
+
+
+@pytest.mark.parametrize("p,n", SCAN_GRID)
+def test_digits_match_the_scan(p, n):
+    pr = make_params(p, n)
+    seen = set()
+    for j in range(3 * (pr.c - 1)):  # so k runs through 0, 1, 2
+        want = scan_weight(j, pr)
+        # k <= 2 gives w >= -2k - 2 >= -6, so i = 2j - w <= 2j + 6
+        assert all(j < i <= 2 * j + 6 for i in want)
+        for i in range(j + 1, 2 * j + 7):
+            got = enumerate_monomials(i, j, pr)
+            assert got == want.get(i, []), (i, j)
+            seen.update((mo.k, mo.eps) for mo in got)
+    assert {k for k, _ in seen} == {0, 1, 2}
+    assert {eps for _, eps in seen} == set(product((0, 1), repeat=n))
+
+
+def test_huge_bidegrees_cost_n_digits():
+    pr = make_params(2, 60)
+    assert enumerate_monomials(200, 100, pr) == []
+    mono = MCMonomial(3, 10**18, (1, 0) * 30)
+    bd = bidegree_of(mono, pr)
+    assert enumerate_monomials(bd.i, bd.j, pr) == [mono]
+    pr = make_params(2, 1)
+    assert enumerate_monomials(2 * 10**18 + 1, 10**18, pr) == []
 
 
 def test_enumerate_examples():

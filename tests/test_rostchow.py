@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from rostcalc import rostchow
 from rostcalc.rostchow import ChowGroupDesc, closed_form, compare, recurrence
 from rostcalc.splitring import make_params
 
@@ -116,3 +119,23 @@ def test_p2_shifted_by_b_equals_d():
 def test_kind_validation():
     with pytest.raises(ValueError):
         ChowGroupDesc("torsion")
+
+
+def test_large_symbols_compare_within_a_second():
+    # CPU time of this process, so other load on the machine does not count
+    start = time.process_time()
+    for p, n in [(2, 14), (3, 9), (7, 5)]:
+        ok, diffs = compare(make_params(p, n))
+        assert ok, diffs
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("name", ["closed_form", "recurrence", "compare"])
+def test_table_size_bound(name, monkeypatch):
+    engine = getattr(rostchow, name)
+    with pytest.raises(ValueError, match="table too large"):
+        engine(make_params(2, 60))
+    monkeypatch.setattr(rostchow, "MAX_TABLE_ROWS", 9)
+    engine(make_params(3, 2))  # d + 1 = 9 rows
+    with pytest.raises(ValueError, match="d \\+ 1 = 16 rows at p=2 n=4, more than 9"):
+        engine(make_params(2, 4))
