@@ -1,10 +1,11 @@
 """Sweep the p-divisibility audits over their full argument grids and
-summarize verdict counts and timing.
+summarize verdict counts and timing.  Exits 1 if any audit or replay fails.
 
     python3 scripts/audit_sweep.py -p 3 -n 2
 """
 
 import argparse
+import sys
 import time
 
 from rostcalc import steenrod
@@ -53,7 +54,8 @@ def main():
     print(f"  verdicts: zero={total['zero']} at-least={total['at-least']} "
           f"exact={total['exact']}")
     print(f"  failures: {failures}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

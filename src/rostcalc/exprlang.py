@@ -252,6 +252,9 @@ class _Parser:
             raise EvalError((tok.line, tok.column),
                             f"value too large: a coefficient would pass "
                             f"{MAX_COEFF_BITS} bits")
+        if tok.kind == "RATIONAL" and not int(tok.lexeme.split("/")[1]):
+            raise EvalError((tok.line, tok.column),
+                            f"division by zero in {tok.lexeme}")
         return convert(tok.lexeme)
 
     def parse_binary(self, level=1):

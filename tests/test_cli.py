@@ -324,6 +324,7 @@ HOSTILE_EVAL = {
     "huge scalar power": ("2^100000000", 2, ""),
     "growing composition power 10^8": ("(2*pi)^@100000000", 2, ""),
     "product of in-bound powers": ("2^9000 * 2^9000", 2, ""),
+    "zero denominator": ("1/0", 2, ""),
 }
 
 
@@ -348,6 +349,9 @@ def test_eval_hostile_input_subprocess(name):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
+_AUDIT_TOO_LARGE = ("audit too large: d = 1152921504606846975 at p=2 n=60, "
+                    "more than 128")
+
 # name -> (argv, exit code, a line of stdout or of stderr)
 HOSTILE_ARGV = {
     "motcoh at n=60": (["motcoh", "-p", "2", "-n", "60", "--bidegree",
@@ -361,6 +365,14 @@ HOSTILE_ARGV = {
     "5,000-digit literal": (["eval", "-p", "3", "-n", "2", "9" * 5000], 2,
                             "eval error at line 1 column 1: value too large: "
                             "a coefficient would pass 10000 bits"),
+    "rationality audit at n=60": (["audit", "-p", "2", "-n", "60",
+                                   "--rationality", "-m", "1", "-s", "2"],
+                                  2, _AUDIT_TOO_LARGE),
+    "generators audit at n=60": (["audit", "-p", "2", "-n", "60",
+                                  "--generators", "-m", "59", "-r", "1"],
+                                 2, _AUDIT_TOO_LARGE),
+    "steenrod verify at n=60": (["verify", "-p", "2", "-n", "60", "--suite",
+                                 "steenrod"], 2, _AUDIT_TOO_LARGE),
 }
 
 

@@ -1,5 +1,10 @@
 """Cartan expansion, the sigma decomposition, and the divisibility audits."""
 
+import os
+import pathlib
+import runpy
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import product as iter_product
@@ -8,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rostcalc
 from rostcalc.splitring import make_params
 from rostcalc.steenrod import (
+    MAX_AUDIT_DIM,
     AuditReport,
     PairingContext,
+    RuleApp,
     SteenAtom,
     SteenProduct,
     ValAtLeast,
@@ -329,8 +337,7 @@ def test_theta_addition_never_weakens_below_threshold():
         if case.product is None or case.index[3] == 0 or case.leading:
             continue
         v1 = case.verdict
-        bigger = replace(case.product,
-                         atoms=case.product.atoms + (theta,))
+        bigger = case.product._replace(atoms=case.product.atoms + (theta,))
         v2 = valuation_bound(bigger)
         if isinstance(v1, ValAtLeast):
             assert isinstance(v2, ValAtLeast) and v2.value >= v1.value
@@ -396,6 +403,18 @@ def test_generators_replay():
 def test_generators_arguments():
     assert generators_arguments(make_params(3, 2)) == [(1, 1), (1, 2)]
     assert generators_arguments(make_params(2, 3)) == [(1, 1), (2, 1)]
+
+
+def test_audit_size_bound():
+    # the largest symbol audited anywhere is the (11,2) verify sample
+    assert make_params(11, 2).d <= MAX_AUDIT_DIM < make_params(2, 8).d
+    big = make_params(2, 8)
+    for audit, args in ((rationality_arguments, ()),
+                        (generators_arguments, ()),
+                        (audit_rationality, (1, 2)),
+                        (audit_generators, (1, 1))):
+        with pytest.raises(ValueError, match="audit too large: d = 255"):
+            audit(big, *args)
 
 
 # --- class-level audits against the term-level oracle -------------------------
@@ -506,7 +525,122 @@ def test_replay_recounts_class_weights():
     rep = audit_rationality(make_params(3, 2), 2, 2)
     assert sum(c.weight > 1 for c in rep.cases) > 0
     cases = tuple(
-        replace(c, product=replace(c.product, weight=c.weight + 1))
+        c._replace(product=c.product._replace(weight=c.weight + 1))
         if c.weight > 1 else c for c in rep.cases)
     check = replay(replace(rep, cases=cases))
     assert [name for name, _ in check.failures()] == ["class weights recounted"]
+
+
+def _ctx(case):
+    return case.product.context if case.product is not None else None
+
+
+def _rules(case):
+    v = case.verdict
+    return [r.rule for r in v.rules] if isinstance(v, ValAtLeast) else []
+
+
+def _theta_elsewhere(case):
+    """A theta rule naming a theta of an index the product lacks."""
+    theta = SteenAtom("theta", 1 + max(a.index for a in case.product.atoms))
+    rules = (RuleApp("theta-carries-p", (theta,)),) + case.verdict.rules[1:]
+    return case._replace(verdict=ValAtLeast(2, rules))
+
+
+def _pair_on_chern_x0(case):
+    """rational-pairing on b_0, which the context shows but which has
+    codimension 0."""
+    pair = RuleApp("rational-pairing", (SteenAtom("chern_x", 0),))
+    return case._replace(verdict=ValAtLeast(2, case.verdict.rules[:1] + (pair,)))
+
+
+def _xdecomp_at_k_eq_s(case):
+    """x-decomp-vanishes where k == s, so the base summand survives."""
+    rules = case.verdict.rules[:1] + (RuleApp("x-decomp-vanishes"),)
+    return case._replace(verdict=ValAtLeast(2, rules))
+
+
+def _value_above_factors(case):
+    return case._replace(verdict=ValAtLeast(3, case.verdict.rules))
+
+
+def _other_context(case):
+    """The same product in a context that differs only in m; its two theta
+    rules would hold in any context."""
+    ctx = case.product.context
+    other = case.product._replace(context=ctx._replace(m=ctx.m + 1))
+    return case._replace(product=other)
+
+
+def _later_in_index(cases):
+    """Cases that follow a case of the same index."""
+    return {id(b) for a, b in zip(cases, cases[1:]) if a.index == b.index}
+
+
+# name -> (which case to perturb, how)
+REPLAY_PERTURBATIONS = {
+    "theta rule on a missing atom": (
+        lambda c, later: _rules(c) == ["theta-carries-p", "theta-carries-p"],
+        _theta_elsewhere),
+    "rational-pairing on chern_x 0": (
+        lambda c, later: (_rules(c) == ["theta-carries-p", "rational-pairing"]
+                          and _ctx(c).j == 0),
+        _pair_on_chern_x0),
+    "x-decomp-vanishes at k == s": (
+        lambda c, later: (_rules(c) == ["theta-carries-p", "rational-pairing"]
+                          and _ctx(c).k == _ctx(c).s),
+        _xdecomp_at_k_eq_s),
+    "factors below the value": (
+        lambda c, later: _rules(c) == ["split-pairing"],
+        _value_above_factors),
+    "two contexts in one index": (
+        lambda c, later: (id(c) in later
+                          and _rules(c) == ["theta-carries-p",
+                                            "theta-carries-p"]),
+        _other_context),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_PERTURBATIONS))
+def test_replay_rejects_perturbed_rule(name):
+    pick, perturb = REPLAY_PERTURBATIONS[name]
+    rep = audit_rationality(make_params(3, 2), 2, 2)
+    assert replay(rep).passed
+    later = _later_in_index(rep.cases)
+    at = next(n for n, c in enumerate(rep.cases) if pick(c, later))
+    cases = list(rep.cases)
+    cases[at] = perturb(cases[at])
+    check = replay(replace(rep, cases=tuple(cases)))
+    assert check.failures() == [("rule premises satisfied", "1 bad")]
+
+
+# --- the sweep script ---------------------------------------------------------------
+
+SWEEP = pathlib.Path(__file__).parents[1] / "scripts" / "audit_sweep.py"
+
+
+def test_audit_sweep_subprocess():
+    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(SWEEP), "-p", "2", "-n", "2",
+                           "--replay"], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "  verdicts: zero=218 at-least=740 exact=16" in lines
+    assert lines[-1] == "  failures: 0"
+
+
+def test_audit_sweep_exits_1_on_failure(monkeypatch, capsys):
+    from rostcalc import steenrod
+    from rostcalc.reporting import CheckReport
+
+    failing = CheckReport("stub")
+    failing.add("always wrong", False)
+    monkeypatch.setattr(steenrod, "replay", lambda report: failing)
+    monkeypatch.setattr(sys, "argv", ["audit_sweep.py", "-p", "2", "-n", "2",
+                                      "--replay"])
+    sweep = runpy.run_path(str(SWEEP))
+    assert sweep["main"]() == 1
+    assert "FAIL replay rationality m=0 s=0" in capsys.readouterr().out
