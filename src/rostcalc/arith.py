@@ -84,16 +84,6 @@ def reduce_mod(x, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def congruent_mod(x, y, p: int) -> bool:
-    """True iff val(x - y, p) >= 1 (both assumed in Z_(p))."""
-    diff = as_local(x) - as_local(y)
-    if diff == 0:
-        return True
-    if diff.denominator % p == 0:
-        raise ValueError("congruence undefined outside Z_(p)")
-    return diff.numerator % p == 0
-
-
 def multinomial(parts) -> int:
     """Exact multinomial coefficient (sum(parts); parts)."""
     total, r = 0, 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_local, check_prime, congruent_mod, val
+from .arith import as_local, check_prime, val
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,36 @@ def identity(p: int) -> EndTuple:
 
 
 def is_rational(t: EndTuple) -> bool:
-    """Membership in Lambda*1 + p*Lambda^p.
+    """Membership in Lambda*1 + p*Lambda^p, read off numerators and
+    denominators.  The first entry a/b must lie in Z_(p): p does not
+    divide b.  Then another entry c/d is congruent to it mod p iff p
+    divides a*d - c*b; an entry outside Z_(p) fails that test by itself,
+    since p divides d but neither c nor b.
 
     >>> is_rational(EndTuple(3, (1, 4, -5)))
     True
     >>> is_rational(EndTuple(3, (1, 2, 1)))
     False
     """
-    if any(val(x, t.p) < 0 for x in t.entries):
-        return False
+    p = t.p
     first = t.entries[0]
-    return all(congruent_mod(x, first, t.p) for x in t.entries[1:])
+    a, b = first.numerator, first.denominator
+    if b % p == 0:
+        return False
+    for x in t.entries[1:]:
+        if (a * x.denominator - x.numerator * b) % p:
+            return False
+    return True
 
 
 def invert(t: EndTuple) -> EndTuple:
-    """Entrywise inverse; every entry must be a p-unit.
+    """Entrywise inverse; every entry must be a p-unit, that is, p divides
+    neither its numerator nor its denominator.
 
     If t is rational with entry 0 equal to 1, all entries are 1 mod p and
     the inverse is again rational (the automorphism property).
     """
     for x in t.entries:
-        if val(x, t.p) != 0:
+        if x.numerator % t.p == 0 or x.denominator % t.p == 0:
             raise ValueError("not invertible: entry %s has val_%d = %s" % (x, t.p, val(x, t.p)))
     return EndTuple(t.p, tuple(1 / x for x in t.entries))

@@ -669,6 +669,14 @@ def _recount(atoms):
     return a, b, c, comb(a + b + c, a) * comb(b + c, b)
 
 
+def _has_composition(r, l, p):
+    """Whether S^l has a Cartan composition over an r-fold product, in
+    closed form and without cartan_expand: its parts are multiples of p-1
+    summing to l, so one exists iff (p-1) divides l and, when l > 0,
+    there is at least one factor."""
+    return l % (p - 1) == 0 and (r >= 1 or l == 0)
+
+
 def _check_zero(reason, index, tally, report, args):
     """Whether a Zero(reason) verdict holds at ``index``; ``tally`` is the
     _recount of the case's product, or None for an unexpanded case."""
@@ -682,7 +690,7 @@ def _check_zero(reason, index, tally, report, args):
         if reason == "steenrod-index-invalid":
             return not steen_index_valid(k, p)
         if reason == "cartan-empty":
-            return l > 0 and not cartan_expand(p - 1, l, p)
+            return l > 0 and not _has_composition(p - 1, l, p)
         if reason == "rho-pairing-zero":
             return l == 0 and i % b != 0
         if reason == "proj1-sigma-power-zero":
@@ -690,7 +698,7 @@ def _check_zero(reason, index, tally, report, args):
         return False
     i, j = index
     if reason == "cartan-empty":
-        return j > 0 and not cartan_expand(args["r"], j, p)
+        return j > 0 and not _has_composition(args["r"], j, p)
     if reason == "proj1-sigma-power-zero":
         return third_only
     return False

@@ -52,18 +52,20 @@ class GradedMap:
             raise ValueError(
                 f"cannot compose {other.source.name}->{other.target.name} "
                 f"with {self.source.name}->{self.target.name}")
-        rows = len(self.matrix)
-        mid = len(other.matrix)
+        # the maps are mostly zero: multiply only nonzero pairs
+        right = [[(c, b) for c, b in enumerate(row) if b]
+                 for row in other.matrix]
         cols = other.source.dim
-        prod = tuple(
-            tuple(
-                sum(self.matrix[r][t] * other.matrix[t][c] for t in range(mid))
-                for c in range(cols)
-            )
-            for r in range(rows)
-        )
+        prod = []
+        for row in self.matrix:
+            acc = [0] * cols
+            for t, a in enumerate(row):
+                if a:
+                    for c, b in right[t]:
+                        acc[c] += a * b
+            prod.append(tuple(acc))
         return GradedMap(
-            other.source, self.target, prod,
+            other.source, self.target, tuple(prod),
             shift=self.shift + other.shift,
         )
 

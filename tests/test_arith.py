@@ -87,12 +87,6 @@ def test_one_unit_power_growth(p):
             assert arith.val(lam ** p**r - 1, p) >= r + 1
 
 
-def test_congruent_mod():
-    assert arith.congruent_mod(Fraction(1, 4), 1, 3)
-    assert not arith.congruent_mod(1, 2, 3)
-    assert arith.congruent_mod(0, 0, 2)
-
-
 def test_is_prime():
     assert [q for q in range(30) if arith.is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not arith.is_prime(True)

@@ -373,6 +373,9 @@ HOSTILE_ARGV = {
                                  2, _AUDIT_TOO_LARGE),
     "steenrod verify at n=60": (["verify", "-p", "2", "-n", "60", "--suite",
                                  "steenrod"], 2, _AUDIT_TOO_LARGE),
+    "symmpow verify at p=211": (["verify", "-p", "211", "-n", "1", "--suite",
+                                 "symmpow"], 2,
+                                "verify too large: p = 211, more than 61"),
 }
 
 

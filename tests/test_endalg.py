@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rostcalc.arith import val
 from rostcalc.endalg import EndTuple, identity, invert, is_rational
 
 PRIMES = [2, 3, 5, 7]
@@ -91,3 +94,45 @@ def test_composition_is_entrywise_and_identity():
 def test_entry_count_enforced():
     with pytest.raises(ValueError):
         EndTuple(3, (1, 2))
+
+
+# --- the residue tests against the valuation definition -------------------------
+
+
+@st.composite
+def end_tuples(draw):
+    """Tuples that are often rational or units: entries with p in the
+    denominator, zero entries, and entries near a shared residue."""
+    p = draw(st.sampled_from(PRIMES))
+    entry = st.just(Fraction(0)) | st.builds(
+        lambda num, k, q: Fraction(num, p**k * q),
+        st.integers(-3 * p, 3 * p), st.sampled_from((0, 0, 0, 1, 2)),
+        st.sampled_from([q for q in range(1, 10) if q % p]))
+    base = draw(entry)
+    entries = [base + draw(st.sampled_from((0, 1, p, p * p))) * draw(entry)
+               for _ in range(p)]
+    return EndTuple(p, tuple(draw(st.permutations(entries))))
+
+
+def rational_by_valuation(t):
+    first = t.entries[0]
+    return (all(val(x, t.p) >= 0 for x in t.entries)
+            and all(val(x - first, t.p) >= 1 for x in t.entries))
+
+
+@settings(max_examples=400, deadline=None)
+@given(end_tuples())
+@example(EndTuple(2, (0, 0)))
+@example(EndTuple(2, (0, 2)))
+@example(EndTuple(2, (Fraction(1, 2), Fraction(1, 2))))
+@example(EndTuple(2, (1, Fraction(3, 5))))
+@example(EndTuple(3, (Fraction(1, 4), 1, Fraction(-5, 2))))
+@example(EndTuple(3, (Fraction(1, 3), 1, 1)))
+@example(EndTuple(3, (1, 1, Fraction(1, 3))))
+def test_residue_tests_match_valuations(t):
+    assert is_rational(t) == rational_by_valuation(t)
+    if all(val(x, t.p) == 0 for x in t.entries):
+        assert invert(t) * t == identity(t.p)
+    else:
+        with pytest.raises(ValueError, match="not invertible"):
+            invert(t)

@@ -34,6 +34,7 @@ from rostcalc.steenrod import (
     steen_index_valid,
     substitute_dcmp,
     valuation_bound,
+    _has_composition,
 )
 
 
@@ -529,6 +530,33 @@ def test_replay_recounts_class_weights():
         if c.weight > 1 else c for c in rep.cases)
     check = replay(replace(rep, cases=cases))
     assert [name for name, _ in check.failures()] == ["class weights recounted"]
+
+
+def test_composition_closed_form_matches_cartan_expand():
+    for p in (2, 3, 5, 7):
+        for r in range(6):
+            for l in range(40):
+                assert _has_composition(r, l, p) == bool(
+                    cartan_expand(r, l, p)), (p, r, l)
+
+
+@pytest.mark.parametrize("audit,args", [(audit_rationality, (2, 2)),
+                                        (audit_generators, (1, 2))])
+def test_replay_rejects_dropped_compositions(monkeypatch, audit, args):
+    """A Cartan expansion that loses the compositions of S^2 fools the
+    audit into cartan-empty zeros; replay decides that zero in closed
+    form, without the expansion."""
+    from rostcalc import steenrod
+
+    honest = steenrod._cartan_expand_cached
+    monkeypatch.setattr(steenrod, "_cartan_expand_cached",
+                        lambda r, l, p: () if l == 2 else honest(r, l, p))
+    rep = audit(make_params(3, 2), *args)
+    assert rep.passed
+    assert any(c.verdict == Zero("cartan-empty") and c.index[-1] == 2
+               for c in rep.cases)
+    check = replay(rep)
+    assert [name for name, _ in check.failures()] == ["zero reasons justified"]
 
 
 def _ctx(case):

@@ -15,6 +15,7 @@ from rostcalc.sympow import (
     identity_map,
     s_map,
     sym_module,
+    tensor_map_with_id,
     tensor_with_m,
     verify_manyi_ccom,
     verify_somesome,
@@ -245,6 +246,48 @@ def test_triangles_p2_degenerate_to_split_of_m():
     top = build_morphisms(1, pr)
     assert top["y"].matrix == ((1, 0),)
     assert top["x"].matrix == ((0,), (1,))
+
+
+# --- the sparse product against the dense one ---------------------------------
+
+
+def dense_product(f, g):
+    """The matrix of f @ g by the full triple loop over rows, the inner
+    index and columns: the oracle for GradedMap.__matmul__."""
+    return tuple(
+        tuple(sum(f.matrix[r][t] * g.matrix[t][c] for t in range(len(g.matrix)))
+              for c in range(g.source.dim))
+        for r in range(len(f.matrix)))
+
+
+def all_maps(pr):
+    """The maps the identity checks compose; f (x) id_M is defined for the
+    maps between symmetric powers (x, y and r)."""
+    maps = [s_map(pr)]
+    for i in range(1, pr.p):
+        morphisms = build_morphisms(i, pr)
+        maps += morphisms.values()
+        maps += [tensor_map_with_id(morphisms[k], pr) for k in "xyr"]
+    maps += [id_tensor_y(i, pr) for i in range(pr.p)]
+    return maps
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_sparse_product_matches_dense(p):
+    maps = all_maps(make_params(p, 2))
+    pairs = 0
+    for f in maps:
+        for g in maps:
+            if g.target.labels != f.source.labels:
+                continue
+            prod = f @ g
+            assert prod.matrix == dense_product(f, g)
+            assert all(type(row) is tuple for row in prod.matrix)
+            assert type(prod.matrix) is tuple
+            assert (prod.source, prod.target, prod.shift) == (
+                g.source, f.target, f.shift + g.shift)
+            pairs += 1
+    assert pairs >= 5 * (p - 1)
 
 
 # --- property tests ----------------------------------------------------------

@@ -4,7 +4,9 @@ import pytest
 
 from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
+from rostcalc import verify
 from rostcalc.verify import (
+    MAX_VERIFY_PRIME,
     SUITES,
     _steenrod_args,
     run_suite,
@@ -74,3 +76,17 @@ def test_symmpow_suite_merges_subreports():
     assert any("somesome" in name for name in names)
     assert any("manyi/ccom" in name or "ccom" in name for name in names)
     assert any("triangle" in name for name in names)
+
+
+def test_prime_bound_before_any_suite(monkeypatch):
+    def unreachable(params):
+        raise AssertionError("a suite ran past the prime bound")
+
+    for name in SUITES:
+        monkeypatch.setitem(verify.SUITES, name, unreachable)
+    # 31 is the largest prime the benchmark's verify requests use
+    assert 31 <= MAX_VERIFY_PRIME < 67
+    for name in list(SUITES) + ["all"]:
+        with pytest.raises(ValueError, match="verify too large: p = 67, "
+                                             "more than 61"):
+            run_suite(name, make_params(67, 1))
