@@ -282,8 +282,8 @@ def test_sparse_product_matches_dense(p):
                 continue
             prod = f @ g
             assert prod.matrix == dense_product(f, g)
-            assert all(type(row) is tuple for row in prod.matrix)
             assert type(prod.matrix) is tuple
+            assert all(type(row) is tuple for row in prod.matrix)
             assert (prod.source, prod.target, prod.shift) == (
                 g.source, f.target, f.shift + g.shift)
             pairs += 1

@@ -2,9 +2,9 @@
 
 import pytest
 
+from rostcalc import verify
 from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
-from rostcalc import verify
 from rostcalc.verify import (
     MAX_VERIFY_PRIME,
     SUITES,
