@@ -1,11 +1,16 @@
 import functools
 import math
 import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rostcalc
 from rostcalc.arith import val
 from rostcalc.corresp import (
     Corr,
@@ -173,6 +178,44 @@ def test_projector_iterate_witnesses():
     pr2 = make_params(2, 3)
     _, v = projector_iterate(pr2, 2)
     assert v == math.inf
+
+
+GROWTH = pathlib.Path(__file__).parents[1] / "scripts" / "projector_growth.py"
+
+GROWTH_OUT = """\
+p = 2
+  r=0: min val_p(entry - 1) = inf  tuple = (1, 1)
+  r=1: min val_p(entry - 1) = inf  tuple = (1, 1)
+  r=2: min val_p(entry - 1) = inf  tuple = (1, 1)
+  r=3: min val_p(entry - 1) = inf  tuple = (1, 1)
+
+p = 3
+  r=0: min val_p(entry - 1) = 1  (bound r+1 = 1)  tuple = (1, 4, 1)
+  r=1: min val_p(entry - 1) = 2  (bound r+1 = 2)  tuple = (1, 64, 1)
+  r=2: min val_p(entry - 1) = 3  (bound r+1 = 3)  tuple = (1, 262144, 1)
+  r=3: min val_p(entry - 1) = 4  (bound r+1 = 4)  tuple = (1, 18014398509481984, 1)
+
+p = 5
+  r=0: min val_p(entry - 1) = 1  (bound r+1 = 1)
+  r=1: min val_p(entry - 1) = 2  (bound r+1 = 2)
+  r=2: min val_p(entry - 1) = 3  (bound r+1 = 3)
+  r=3: min val_p(entry - 1) = 4  (bound r+1 = 4)
+
+"""
+
+
+def test_projector_growth_script_subprocess():
+    """The script is the only caller of EndTuple ** (p^r) and from_tuple
+    outside the tests; its output is pinned byte for byte."""
+    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(GROWTH), "--primes", "2", "3",
+                           "5", "--max-r", "3", "--show-tuples"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GROWTH_OUT
+    assert proc.stderr == ""
 
 
 def test_comp_power():
