@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from .arith import val
 from .endalg import EndTuple
-from .splitring import ChowClass, SparseVec, SymbolParams, repeated_squaring
+from .splitring import (
+    ChowClass,
+    SparseVec,
+    SymbolParams,
+    _over_common,
+    repeated_squaring,
+)
 
 
 class Corr(SparseVec):
@@ -48,13 +54,15 @@ class Corr(SparseVec):
             return NotImplemented
         self._check_params(other)
         top = self.params.p - 1
+        da, a = _over_common(self._coeffs)
+        db, b = _over_common(other._coeffs)
         out = {}
-        for (i, j), u in self._coeffs.items():
-            for (k, l), v in other._coeffs.items():
+        for (i, j), u in a.items():
+            for (k, l), v in b.items():
                 if i + k <= top and j + l <= top:
                     key = (i + k, j + l)
-                    out[key] = out.get(key, Fraction(0)) + u * v
-        return Corr(self.params, out)
+                    out[key] = out.get(key, 0) + u * v
+        return Corr._over(self.params, out, da * db)
 
     def __matmul__(self, other):
         """beta @ alpha = compose(beta, alpha): alpha applied first."""
@@ -73,14 +81,18 @@ def compose(beta: Corr, alpha: Corr) -> Corr:
     beta._check_params(alpha)
     params = beta.params
     top = params.p - 1
+    da, a = _over_common(alpha._coeffs)
+    db, b = _over_common(beta._coeffs)
+    rows = {}  # beta's terms by their first index
+    for (k, l), v in b.items():
+        rows.setdefault(k, []).append((l, v))
     out = {}
-    for (i, j), u in alpha._coeffs.items():
-        k = top - j
-        for (k2, l), v in beta._coeffs.items():
-            if k2 == k:
-                key = (i, l)
-                out[key] = out.get(key, Fraction(0)) + params.e * u * v
-    return Corr(params, out)
+    for (i, j), u in a.items():
+        for l, v in rows.get(top - j, ()):
+            out[i, l] = out.get((i, l), 0) + u * v
+    e = params.e
+    return Corr._over(params, {key: n * e.numerator for key, n in out.items()},
+                      da * db * e.denominator)
 
 
 def transpose(alpha: Corr) -> Corr:

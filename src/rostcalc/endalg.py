@@ -8,26 +8,56 @@ val_p >= 0 and all entries are congruent mod p:
 
   t = a*(1,...,1) + p*u  ==>  entries pairwise congruent mod p;
   conversely, with a := t_0 the differences (t_i - a)/p are integral.
+
+A tuple is stored as integer numerators ``nums`` over one positive
+denominator ``den`` with gcd(den, *nums) == 1, so equal tuples have equal
+fields.  The operations work on these ints and build no Fraction: a
+product multiplies numerators entrywise and the denominators together, a
+sum works over lcm(den1, den2), a power raises numerators and denominator
+(already coprime) to the power.  Only the constructor ``EndTuple(p,
+entries)`` validates its input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import as_local, check_prime, val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EndTuple:
     p: int
-    entries: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "entries", tuple(as_local(x) for x in self.entries))
-        if len(self.entries) != self.p:
-            raise ValueError("expected %d entries, got %d" % (self.p, len(self.entries)))
+    def __init__(self, p: int, entries):
+        check_prime(p)
+        entries = tuple(as_local(x) for x in entries)
+        if len(entries) != p:
+            raise ValueError("expected %d entries, got %d" % (p, len(entries)))
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
+        den = math.lcm(*[x.denominator for x in entries])
+        _init(self, p, tuple(x.numerator * (den // x.denominator) for x in entries), den)
+
+    @staticmethod
+    def from_ints(p: int, nums, den: int = 1) -> "EndTuple":
+        """The tuple with entries n/den for the ints n of nums, brought to
+        lowest terms.  Nothing is checked: p must be prime, nums must
+        have p entries and den must be positive."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        return _make(p, tuple(nums), den)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -35,7 +65,8 @@ class EndTuple:
         if not isinstance(other, EndTuple):
             return NotImplemented
         self._check(other)
-        return EndTuple(self.p, tuple(a * b for a, b in zip(self.entries, other.entries)))
+        return EndTuple.from_ints(self.p, [a * b for a, b in zip(self.nums, other.nums)],
+                                  self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -43,10 +74,13 @@ class EndTuple:
         if not isinstance(other, EndTuple):
             return NotImplemented
         self._check(other)
-        return EndTuple(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den = math.lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        return EndTuple.from_ints(self.p, [a * u + b * v for a, b in zip(self.nums, other.nums)],
+                                  den)
 
     def __neg__(self):
-        return self.scale(-1)
+        return _make(self.p, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, EndTuple):
@@ -57,15 +91,16 @@ class EndTuple:
         """Entrywise power: composition of diagonal endomorphisms."""
         if not isinstance(r, int) or r < 0:
             raise ValueError("nonnegative integer power required")
-        return EndTuple(self.p, tuple(x**r for x in self.entries))
+        return _make(self.p, tuple(n**r for n in self.nums), self.den**r)
 
     def scale(self, scalar) -> "EndTuple":
         s = as_local(scalar)
-        return EndTuple(self.p, tuple(s * x for x in self.entries))
+        return EndTuple.from_ints(self.p, [s.numerator * n for n in self.nums],
+                                  s.denominator * self.den)
 
     def mult(self) -> Fraction:
         """Multiplicity: the action on the degree-0 piece."""
-        return self.entries[0]
+        return Fraction(self.nums[0], self.den)
 
     def _check(self, other):
         if self.p != other.p:
@@ -75,16 +110,28 @@ class EndTuple:
         return "(%s)" % ", ".join(str(x) for x in self.entries)
 
 
+def _init(t, p, nums, den):
+    object.__setattr__(t, "p", p)
+    object.__setattr__(t, "nums", nums)
+    object.__setattr__(t, "den", den)
+
+
+def _make(p, nums, den) -> EndTuple:
+    """An EndTuple from fields already in lowest terms."""
+    t = object.__new__(EndTuple)
+    _init(t, p, nums, den)
+    return t
+
+
 def identity(p: int) -> EndTuple:
-    return EndTuple(p, (Fraction(1),) * p)
+    return EndTuple(p, (1,) * p)
 
 
 def is_rational(t: EndTuple) -> bool:
-    """Membership in Lambda*1 + p*Lambda^p, read off numerators and
-    denominators.  The first entry a/b must lie in Z_(p): p does not
-    divide b.  Then another entry c/d is congruent to it mod p iff p
-    divides a*d - c*b; an entry outside Z_(p) fails that test by itself,
-    since p divides d but neither c nor b.
+    """Membership in Lambda*1 + p*Lambda^p.  If p divides den, some
+    numerator is prime to p (gcd(den, *nums) == 1), so that entry lies
+    outside Z_(p).  Otherwise den is a p-unit and the entries are
+    congruent mod p iff their numerators are.
 
     >>> is_rational(EndTuple(3, (1, 4, -5)))
     True
@@ -92,24 +139,23 @@ def is_rational(t: EndTuple) -> bool:
     False
     """
     p = t.p
-    first = t.entries[0]
-    a, b = first.numerator, first.denominator
-    if b % p == 0:
+    if t.den % p == 0:
         return False
-    for x in t.entries[1:]:
-        if (a * x.denominator - x.numerator * b) % p:
-            return False
-    return True
+    first = t.nums[0] % p
+    return all(n % p == first for n in t.nums)
 
 
 def invert(t: EndTuple) -> EndTuple:
-    """Entrywise inverse; every entry must be a p-unit, that is, p divides
-    neither its numerator nor its denominator.
+    """Entrywise inverse; every entry must be a p-unit.  That holds iff p
+    divides neither den nor any numerator: if p divides den, some entry
+    has a numerator prime to p and so negative valuation.
 
     If t is rational with entry 0 equal to 1, all entries are 1 mod p and
     the inverse is again rational (the automorphism property).
     """
-    for x in t.entries:
-        if x.numerator % t.p == 0 or x.denominator % t.p == 0:
-            raise ValueError("not invertible: entry %s has val_%d = %s" % (x, t.p, val(x, t.p)))
-    return EndTuple(t.p, tuple(1 / x for x in t.entries))
+    p, den = t.p, t.den
+    if den % p == 0 or any(n % p == 0 for n in t.nums):
+        x = next(x for x in t.entries if val(x, p) != 0)
+        raise ValueError("not invertible: entry %s has val_%d = %s" % (x, p, val(x, p)))
+    m = math.lcm(*t.nums)
+    return EndTuple.from_ints(p, [den * (m // n) for n in t.nums], m)

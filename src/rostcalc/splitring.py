@@ -7,6 +7,7 @@ off e times the top coefficient.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,6 +91,14 @@ def scalar_power(q, r: int) -> Fraction:
     return repeated_squaring(Fraction(q), r, operator.mul)
 
 
+def _over_common(coeffs):
+    """(D, {key: int}) with D the lcm of the denominators of the Fraction
+    values of coeffs, so that each value is its int over D."""
+    den = math.lcm(*[v.denominator for v in coeffs.values()])
+    return den, {key: v.numerator * (den // v.denominator)
+                 for key, v in coeffs.items()}
+
+
 class SparseVec:
     """A Z_(p)-linear combination of basis elements, stored as a dict from
     index to nonzero coefficient.
@@ -114,6 +123,15 @@ class SparseVec:
             if v != 0:
                 clean[key] = v
         self._coeffs = clean
+
+    @classmethod
+    def _over(cls, params, nums, den):
+        """The vector {key: n / den} over the nonzero ints n of nums.  The
+        keys are not checked: the products only form valid ones."""
+        out = object.__new__(cls)
+        out.params = params
+        out._coeffs = {key: Fraction(n, den) for key, n in nums.items() if n}
+        return out
 
     def items(self):
         return sorted(self._coeffs.items())
@@ -210,12 +228,14 @@ class ChowClass(SparseVec):
             return NotImplemented
         self._check_params(other)
         top = self.params.p - 1
+        da, a = _over_common(self._coeffs)
+        db, b = _over_common(other._coeffs)
         out = {}
-        for i, u in self._coeffs.items():
-            for j, v in other._coeffs.items():
+        for i, u in a.items():
+            for j, v in b.items():
                 if i + j <= top:  # truncation: codim of H^{i+j} would exceed d
-                    out[i + j] = out.get(i + j, Fraction(0)) + u * v
-        return ChowClass(self.params, out)
+                    out[i + j] = out.get(i + j, 0) + u * v
+        return ChowClass._over(self.params, out, da * db)
 
     def degree(self) -> Fraction:
         """e times the H^{p-1} coefficient (push-forward to a point)."""

@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rostcalc
 from rostcalc.arith import val
@@ -216,6 +218,88 @@ def test_projector_growth_script_subprocess():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == GROWTH_OUT
     assert proc.stderr == ""
+
+
+# --- the common-denominator products against the Fraction-pair oracles ----------
+
+#: coefficients with mixed denominators, some of them divisible by p
+MIXED = st.builds(Fraction, st.integers(-12, 12),
+                  st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 12, 49)))
+
+
+def _mul_oracle(x, y):
+    """The intersection product with one Fraction multiply and one
+    Fraction add per pair of terms."""
+    top = x.params.p - 1
+    out = {}
+    for (i, j), u in x._coeffs.items():
+        for (k, l), v in y._coeffs.items():
+            if i + k <= top and j + l <= top:
+                key = (i + k, j + l)
+                out[key] = out.get(key, Fraction(0)) + u * v
+    return Corr(x.params, out)
+
+
+def _compose_oracle(beta, alpha):
+    """compose(beta, alpha) with Fraction arithmetic per pair of terms."""
+    params = beta.params
+    top = params.p - 1
+    out = {}
+    for (i, j), u in alpha._coeffs.items():
+        for (k, l), v in beta._coeffs.items():
+            if k == top - j:
+                out[i, l] = out.get((i, l), Fraction(0)) + params.e * u * v
+    return Corr(params, out)
+
+
+@st.composite
+def corr_pairs(draw, antidiagonal=False):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    pr = make_params(p, 2, e=draw(st.sampled_from((1, p + 1, Fraction(1, p + 1)))))
+    if antidiagonal:
+        keys = st.sampled_from([(i, p - 1 - i) for i in range(p)])
+    else:
+        keys = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    coeffs = st.dictionaries(keys, MIXED, max_size=min(p * p, 6))
+    return Corr(pr, draw(coeffs)), Corr(pr, draw(coeffs))
+
+
+P3E4 = make_params(3, 2, e=4)
+P2E3 = make_params(2, 2, e=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corr_pairs())
+# sigma * (E(0,1) + E(1,0)): the E(1,1) terms cancel
+@example((sigma(P3E4), Corr(P3E4, {(0, 1): 1, (1, 0): 1})))
+# alpha = E(0,0) + E(0,1) against beta = E(1,0) - E(0,0): compose cancels
+@example((Corr(P2E3, {(1, 0): 1, (0, 0): -1}), Corr(P2E3, {(0, 0): 1, (0, 1): 1})))
+@example((Corr(P3E4, {(0, 2): Fraction(1, 6), (1, 1): Fraction(-3, 4)}),
+          Corr(P3E4, {(2, 0): Fraction(2, 9), (1, 2): Fraction(5, 3)})))
+def test_products_match_fraction_oracles(pair):
+    x, y = pair
+    for got, want in ((x * y, _mul_oracle(x, y)),
+                      (x @ y, _compose_oracle(x, y)),
+                      (compose(y, x), _compose_oracle(y, x))):
+        assert got == want
+        assert all(type(v) is Fraction and v != 0 for v in got._coeffs.values())
+        assert str(got) == str(want)
+    for r in (1, 2, 3):
+        assert x ** r == functools.reduce(_mul_oracle, [x] * r)
+        assert comp_power(x, r) == functools.reduce(_compose_oracle, [x] * r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corr_pairs(antidiagonal=True))
+def test_tuple_round_trips_with_mixed_denominators(pair):
+    a, b = pair
+    pr = a.params
+    top = pr.p - 1
+    assert from_tuple(pr, to_tuple(a)) == a
+    assert to_tuple(a).entries == tuple(pr.e * a.coeff(i, top - i) for i in range(pr.p))
+    assert to_tuple(b @ a) == to_tuple(b) * to_tuple(a)
+    assert to_tuple(a + b) == to_tuple(a) + to_tuple(b)
+    assert from_tuple(pr, to_tuple(b) * to_tuple(a)) == _compose_oracle(b, a)
 
 
 def test_comp_power():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rostcalc.splitring import ChowClass, h_power, make_params
@@ -115,3 +115,47 @@ def test_str():
     pr = make_params(3, 2)
     assert str(ChowClass(pr)) == "0"
     assert str(h_power(pr, 2) + h_power(pr, 1).scale(2)) == "2*H + H^2"
+
+
+# --- the common-denominator product against the Fraction-pair oracle ------------
+
+#: coefficients with mixed denominators, some of them divisible by p
+MIXED = st.builds(Fraction, st.integers(-12, 12),
+                  st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 12, 49)))
+
+
+def _mul_oracle(x, y):
+    """The truncated product with one Fraction multiply and one Fraction
+    add per pair of terms."""
+    top = x.params.p - 1
+    out = {}
+    for i, u in x._coeffs.items():
+        for j, v in y._coeffs.items():
+            if i + j <= top:
+                out[i + j] = out.get(i + j, Fraction(0)) + u * v
+    return ChowClass(x.params, out)
+
+
+@st.composite
+def class_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    pr = make_params(p, 2, e=draw(st.sampled_from((1, p + 1))))
+    coeffs = st.dictionaries(st.integers(0, p - 1), MIXED, max_size=p)
+    return ChowClass(pr, draw(coeffs)), ChowClass(pr, draw(coeffs))
+
+
+P3 = make_params(3, 2, e=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_pairs())
+# (1 + H)(H - 1) = H^2 - 1: the H terms cancel and the key must go
+@example((ChowClass(P3, {0: 1, 1: 1}), ChowClass(P3, {0: -1, 1: 1})))
+@example((ChowClass(P3, {0: Fraction(1, 6), 2: Fraction(-3, 4)}),
+          ChowClass(P3, {0: Fraction(2, 9), 1: Fraction(5, 3)})))
+def test_product_matches_fraction_oracle(pair):
+    x, y = pair
+    got = x * y
+    assert got == _mul_oracle(x, y)
+    assert all(type(v) is Fraction and v != 0 for v in got._coeffs.values())
+    assert str(got) == str(_mul_oracle(x, y))

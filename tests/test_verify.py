@@ -1,13 +1,18 @@
 """Verification suite wiring."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from rostcalc import verify
+from rostcalc.endalg import EndTuple
 from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
 from rostcalc.verify import (
     MAX_VERIFY_PRIME,
     SUITES,
+    _random_rational_tuple,
     _steenrod_args,
     run_suite,
     suite_endalg,
@@ -47,6 +52,27 @@ def test_report_lines_mention_suite_and_params():
     assert all(ln.startswith(("ok: correspondences p=3 n=2:",
                               "FAIL: correspondences p=3 n=2:"))
                for ln in report.lines())
+
+
+def _random_rational_tuple_oracle(rng, p):
+    """The sample built with Fraction arithmetic, one entry at a time."""
+    residue = rng.randrange(p)
+    denoms = [q for q in range(1, 10) if q % p != 0]
+    entries = []
+    for _ in range(p):
+        num = rng.randrange(-9, 10)
+        den = rng.choice(denoms)
+        entries.append(residue + p * Fraction(num, den))
+    return EndTuple(p, tuple(entries))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_random_rational_tuple_keeps_values_and_rng_order(p):
+    ours, oracle = random.Random(p), random.Random(p)
+    for _ in range(100):
+        assert (_random_rational_tuple(ours, p)
+                == _random_rational_tuple_oracle(oracle, p))
+    assert ours.getstate() == oracle.getstate()
 
 
 def test_endalg_deterministic():
