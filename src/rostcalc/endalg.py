@@ -40,7 +40,8 @@ class EndTuple:
             raise ValueError("expected %d entries, got %d" % (p, len(entries)))
         # the lcm of reduced denominators leaves gcd(den, *nums) == 1
         den = math.lcm(*[x.denominator for x in entries])
-        _init(self, p, tuple(x.numerator * (den // x.denominator) for x in entries), den)
+        nums = tuple(x.numerator * (den // x.denominator) for x in entries)
+        vars(self).update(p=p, nums=nums, den=den)
 
     @staticmethod
     def from_ints(p: int, nums, den: int = 1) -> "EndTuple":
@@ -110,16 +111,10 @@ class EndTuple:
         return "(%s)" % ", ".join(str(x) for x in self.entries)
 
 
-def _init(t, p, nums, den):
-    object.__setattr__(t, "p", p)
-    object.__setattr__(t, "nums", nums)
-    object.__setattr__(t, "den", den)
-
-
 def _make(p, nums, den) -> EndTuple:
     """An EndTuple from fields already in lowest terms."""
     t = object.__new__(EndTuple)
-    _init(t, p, nums, den)
+    vars(t).update(p=p, nums=nums, den=den)
     return t
 
 
