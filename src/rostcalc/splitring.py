@@ -37,6 +37,13 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
     check_prime(p)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer, got %r" % (n,))
+    # c < p^(n+1) is the largest derived number; p^(n+1) is at least
+    # 2^((n+1)(bits(p)-1)), so the first test refuses a huge n before any
+    # power is computed
+    if ((n + 1) * (p.bit_length() - 1) > MAX_COEFF_BITS
+            or (p ** (n + 1)).bit_length() > MAX_COEFF_BITS):
+        raise ValueError(f"symbol too large: p^(n+1) would pass "
+                         f"{MAX_COEFF_BITS} bits at p={p} n={n}")
     e = require_unit(as_local(e), p)
     b = (p**n - 1) // (p - 1)
     c = (p ** (n + 1) - 1) // (p - 1)
@@ -50,7 +57,8 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
 # Powers by repeated squaring and every value ``eval`` builds refuse a
 # coefficient whose numerator or denominator has more bits than this, well
 # inside the 4,300 decimal digits Python will print, so a huge exponent
-# fails at once and not after minutes.
+# fails at once and not after minutes.  make_params refuses a symbol whose
+# b, c or d could pass it.
 MAX_COEFF_BITS = 10_000
 
 

@@ -105,6 +105,12 @@ class SteenAtom(_Atom):
 # atoms are immutable, so the audits share one per (kind, index)
 _atom = lru_cache(maxsize=None)(SteenAtom)
 
+# The audits build the records below (PairingContext, SteenProduct,
+# AuditCase) as _new(Record, fields) with every field given: the same
+# instance as Record(*fields), without the Python-level __new__ that
+# NamedTuple generates, which costs one frame per record.
+_new = tuple.__new__
+
 
 class PairingContext(NamedTuple):
     """What an expansion term is paired against, and the index budget.
@@ -182,6 +188,10 @@ class RuleApp:
 class ValAtLeast:
     value: int
     rules: tuple = ()
+
+
+#: the tally slot of a verdict type: zero, at-least, and exact for any other
+_SLOT = {Zero: 0, ValAtLeast: 1}
 
 
 def verdict_str(v):
@@ -310,7 +320,7 @@ def substitute_dcmp(expansion, context=None):
     its scalar is multiplicity * (-1)^c and its weight the number of terms
     it stands for.  The explicit p on each theta stays on the atom itself.
     """
-    return [SteenProduct(atoms, multiplicity * sign, context, weight)
+    return [_new(SteenProduct, (atoms, multiplicity * sign, context, weight))
             for parts, multiplicity in expansion
             for atoms, sign, weight in _class_atoms(parts)]
 
@@ -425,6 +435,9 @@ class AuditReport:
     cases: tuple
     conclusion: str
     passed: bool
+    #: the (zero, at-least, exact) verdict tallies over expansion terms
+    #: (case weights summed), taken while the audit concluded
+    tallies: tuple = (0, 0, 0)
 
     @property
     def title(self):
@@ -441,15 +454,7 @@ class AuditReport:
 
     def counts(self):
         """Verdict tallies over expansion terms (case weights summed)."""
-        out = {"zero": 0, "at-least": 0, "exact": 0}
-        for case in self.cases:
-            if isinstance(case.verdict, Zero):
-                out["zero"] += case.weight
-            elif isinstance(case.verdict, ValAtLeast):
-                out["at-least"] += case.weight
-            else:
-                out["exact"] += case.weight
-        return out
+        return dict(zip(("zero", "at-least", "exact"), self.tallies))
 
     def header_lines(self):
         lines = [self.title]
@@ -461,46 +466,70 @@ class AuditReport:
         return lines
 
 
-def _offender(cases, support):
-    """What first keeps an audit from passing, or None."""
-    leading = [c for c in cases if c.leading]
-    if len(leading) != 1:
-        return f"{len(leading)} leading cases, expected 1"
-    for case in cases:
-        v = case.verdict
-        if case.leading:
-            ok = isinstance(v, ValExactly) and v.value == 1
-        elif isinstance(v, Zero):
-            ok = v.reason in ZERO_REASONS
-        else:
-            ok = isinstance(v, ValAtLeast) and v.value >= 2
-        if not ok:
-            return f"case {case.index}: {verdict_str(v)}"
-    for name, ok, detail in support:
-        if not ok:
-            return f"support {name}" + (f" -- {detail}" if detail else "")
-    return None
+def _grade(verdict, leading):
+    """(tally slot, ok) of a case: its verdict's slot, and whether the
+    verdict is one a passing audit may hold."""
+    slot = _SLOT.get(type(verdict), 2)
+    if leading:
+        ok = type(verdict) is ValExactly and verdict.value == 1
+    elif slot == 0:
+        ok = verdict.reason in ZERO_REASONS
+    else:
+        ok = slot == 1 and verdict.value >= 2
+    return slot, ok
 
 
 def _conclude(cases, support, pass_text, fail_text):
-    offender = _offender(cases, support)
+    """(passed, conclusion, tallies) of an audit, in one pass over its
+    cases: the weighted verdict tallies, and what first keeps the audit
+    from passing (the number of leading cases, then the first case whose
+    verdict is not allowed, then the first failing support check)."""
+    tallies = [0, 0, 0]
+    # verdicts are shared objects that the cases keep alive, so id(v)
+    # names one verdict for the whole pass; graded memoises _grade of the
+    # cases that are not leading
+    graded = {}
+    n_leading = 0
+    first = None
+    for case in cases:
+        _, prod, v, leading = case
+        if leading:
+            n_leading += 1
+            grade = _grade(v, True)
+        else:
+            grade = graded.get(id(v))
+            if grade is None:
+                grade = graded[id(v)] = _grade(v, False)
+        tallies[grade[0]] += 1 if prod is None else prod.weight
+        if not grade[1] and first is None:
+            first = case
+    if n_leading != 1:
+        offender = f"{n_leading} leading cases, expected 1"
+    elif first is not None:
+        offender = f"case {first.index}: {verdict_str(first.verdict)}"
+    else:
+        offender = next((f"support {name}" + (f" -- {detail}" if detail else "")
+                         for name, ok, detail in support if not ok), None)
     if offender is None:
-        return True, pass_text
-    return False, f"{fail_text} (first: {offender})"
+        return True, pass_text, tuple(tallies)
+    return False, f"{fail_text} (first: {offender})", tuple(tallies)
 
 
 # --- the two audits --------------------------------------------------------------
 
 
-def _index_cases(index, ctx, leading):
-    """The audit cases of one index: a cartan-empty zero, or one case per
-    count class of S^l over the context's sigma power (ctx.r factors,
-    ctx.l the Steenrod degree on it)."""
+def _index_cases(cases, index, ctx, leading):
+    """Append the audit cases of one index to ``cases``: a cartan-empty
+    zero, or one case per count class of S^l over the context's sigma power
+    (ctx.r factors, ctx.l the Steenrod degree on it)."""
     expansion = cartan_expand(ctx.r, ctx.l, ctx.params.p)
     if not expansion:
-        return [AuditCase(index, None, _ZERO["cartan-empty"])]
-    return [AuditCase(index, prod, valuation_bound(prod), leading)
-            for prod in substitute_dcmp(expansion, ctx)]
+        cases.append(_new(AuditCase, (index, None, _ZERO["cartan-empty"],
+                                      False)))
+        return
+    for prod in substitute_dcmp(expansion, ctx):
+        cases.append(_new(AuditCase,
+                          (index, prod, valuation_bound(prod), leading)))
 
 
 def rationality_arguments(params):
@@ -565,6 +594,9 @@ def audit_rationality(params, m, s):
             f", got s = {s}; nothing is claimed below the bound")
     if not 0 <= m <= d:
         raise ValueError(f"cycle dimension m = {m} outside [0, {d}]")
+    if valid and s > d:
+        raise ValueError(f"Steenrod degree s = {s} above d = {d}; nothing "
+                         f"is claimed above d")
     if not valid:
         return AuditReport(
             "rationality", params, args, _RAT_PREMISES, (), (),
@@ -574,33 +606,36 @@ def audit_rationality(params, m, s):
 
     support = _rationality_support(params)
     total = d + s
+    chern = [_atom("chern_x", i) for i in range(d + 1)]
+    overflow = _ZERO["chern-index-overflow"]
+    invalid = _ZERO["steenrod-index-invalid"]
     cases = []
     for i in range(1, total + 1):
         for j in range(total - i + 1):
             budget = total - i - j
             for l in range(budget + 1):
                 k = budget - l
+                index = (i, j, k, l)
                 if i > d or j > d:
-                    cases.append(AuditCase((i, j, k, l), None,
-                                           _ZERO["chern-index-overflow"]))
-                    continue
-                if not steen_index_valid(k, p):
-                    cases.append(AuditCase((i, j, k, l), None,
-                                           _ZERO["steenrod-index-invalid"]))
-                    continue
-                ctx = PairingContext(
-                    "rationality", params, m, s, p - 1, i, j, k, l,
-                    (_atom("chern_x", i), _atom("chern_x", j)))
-                cases += _index_cases((i, j, k, l), ctx,
-                                      l == 0 and i == d and j == 0)
+                    cases.append(_new(AuditCase, (index, None, overflow,
+                                                  False)))
+                elif not steen_index_valid(k, p):
+                    cases.append(_new(AuditCase, (index, None, invalid,
+                                                  False)))
+                else:
+                    ctx = _new(PairingContext, (
+                        "rationality", params, m, s, p - 1, i, j, k, l,
+                        (chern[i], chern[j])))
+                    _index_cases(cases, index, ctx,
+                                 l == 0 and i == d and j == 0)
 
-    ok, conclusion = _conclude(
+    ok, conclusion, tallies = _conclude(
         cases, support,
         pass_text=f"pass: leading term deg(b_{d})*S^{s}(x_0) has valuation "
                   "exactly 1; all other terms are zero or in the ideal",
         fail_text="fail: could not certify rationality modulo the ideal")
     return AuditReport("rationality", params, args, _RAT_PREMISES, support,
-                       tuple(cases), conclusion, ok)
+                       tuple(cases), conclusion, ok, tallies)
 
 
 def audit_generators(params, m, r):
@@ -644,17 +679,17 @@ def audit_generators(params, m, r):
     cases = []
     for j in range(dim_y + 1):
         i = dim_y - j
-        ctx = PairingContext("generators", params, m, j, r, i, j, 0, j,
-                             (_atom("chern_y", i),))
-        cases += _index_cases((i, j), ctx, j == 0)
+        ctx = _new(PairingContext, ("generators", params, m, j, r, i, j, 0,
+                                    j, (_atom("chern_y", i),)))
+        _index_cases(cases, (i, j), ctx, j == 0)
 
-    ok, conclusion = _conclude(
+    ok, conclusion, tallies = _conclude(
         cases, support,
         pass_text=f"pass: order exactly {p} (killed by p, degree pairing "
                   "has valuation exactly 1)",
         fail_text="fail: could not certify order exactly p")
     return AuditReport("generators", params, args, _GEN_PREMISES, support,
-                       tuple(cases), conclusion, ok)
+                       tuple(cases), conclusion, ok, tallies)
 
 
 # --- trace replay -----------------------------------------------------------------
@@ -704,14 +739,14 @@ def _check_zero(reason, index, tally, report, args):
     return False
 
 
-def _xdecomp_vanishes(ctx):
-    """Whether every summand of the point-splitting of x dies in ``ctx``:
-    the base one needs k = s, the twisted ones exceed the top index."""
-    if ctx.kind != "rationality" or ctx.k == ctx.s:
+def _xdecomp_vanishes(kind, params, m, s, at_s):
+    """Whether every summand of the point-splitting of x dies in a context
+    of this kind, symbol, m and s, at k == s or not (``at_s``): the base
+    one needs k = s, the twisted ones exceed the top index."""
+    if kind != "rationality" or at_s:
         return False
-    b, p = ctx.params.b, ctx.params.p
-    return all(ctx.s + rr * b > (ctx.m - rr * b) * (p - 1)
-               for rr in range(1, p))
+    b, p = params.b, params.p
+    return all(s + rr * b > (m - rr * b) * (p - 1) for rr in range(1, p))
 
 
 def _rule_needs(verdict):
@@ -741,11 +776,13 @@ def _rule_needs(verdict):
 
 def replay(report):
     """Re-check every verdict's premises and every class weight
-    independently of the enumeration.
+    independently of the enumeration, and recount the weighted verdict
+    tallies from the recounted weights.
 
-    The cases of one index share one pairing context, so its premises
-    (which Chern atoms it shows, whether its x-decomposition vanishes) are
-    checked once per context; every case checks its own atoms and weight.
+    The cases of one index share one pairing context, so which Chern atoms
+    it shows is read once per context; whether its x-decomposition vanishes
+    is decided once per (kind, symbol, m, s, k == s).  Every case checks its
+    own atoms and weight.
     """
     out = CheckReport(f"replay: {report.title}")
     if not report.cases:
@@ -753,51 +790,85 @@ def replay(report):
                 report.conclusion)
         return out
     args = dict(report.args)
-    tallies, needs = {}, {}
-    ctx = index = None
-    chern, xdecomp = (), False
+    # atoms tuples and verdicts are shared objects that the report keeps
+    # alive, so their ids name one of them for the whole loop.  A verdict
+    # maps to its tally slot, its _rule_needs (at-least verdicts) and the
+    # needed atoms each atoms tuple lacks.
+    recounts, verdicts, xdecomps = {}, {}, {}
+    ctx = index = xdecomp = None
+    chern = ()
+    tallies = [0, 0, 0]
     n_leading = bad_zero = bad_rules = bad_exact = bad_weight = 0
     for case in report.cases:
-        prod, v = case.product, case.verdict
-        n_leading += case.leading
-        tally = None
-        if prod is not None:
-            tally = tallies.get(prod.atoms)
+        case_index, prod, v, leading = case
+        n_leading += leading
+        known = verdicts.get(id(v))
+        if known is None:
+            slot = _SLOT.get(type(v), 2)
+            known = verdicts[id(v)] = (
+                slot, _rule_needs(v) if slot == 1 else None, {})
+        slot, need, rests = known
+        if prod is None:
+            tally = None
+            tallies[slot] += 1
+        else:
+            atoms, _, prod_ctx, weight = prod
+            tally = recounts.get(id(atoms))
             if tally is None:
-                tally = tallies[prod.atoms] = _recount(prod.atoms)
-            if prod.weight != tally[3]:
+                tally = recounts[id(atoms)] = _recount(atoms)
+            tallies[slot] += tally[3]
+            if weight != tally[3]:
                 bad_weight += 1
-            if prod.context is not ctx:
+            if prod_ctx is not ctx:
                 # the cases of one index share one context: a case that
                 # carries another has no premises to stand on
-                if case.index == index and prod.context != ctx:
+                if case_index == index and prod_ctx != ctx:
                     bad_rules += 1
                     continue
-                ctx = prod.context
-                chern, xdecomp = ctx.chern, _xdecomp_vanishes(ctx)
-        index = case.index
-        if isinstance(v, Zero):
+                ctx, chern, xdecomp = prod_ctx, prod_ctx.chern, None
+        index = case_index
+        if slot == 0:
             if (v.reason not in ZERO_REASONS
                     or not _check_zero(v.reason, index, tally, report, args)):
                 bad_zero += 1
-        elif isinstance(v, ValAtLeast):
-            # verdicts are shared objects that the report keeps alive, so
-            # id(v) names one verdict for the whole loop
-            if id(v) not in needs:
-                needs[id(v)] = _rule_needs(v)
-            need = needs[id(v)]
-            if (prod is None or need is None or need[1] and not xdecomp
-                    or any(a not in prod.atoms and a not in chern
-                           for a in need[0])):
+        elif slot == 1:
+            if prod is None or need is None:
                 bad_rules += 1
-        elif isinstance(v, ValExactly):
-            if (not case.leading or v.value != 1
-                    or not all(pid in PREMISES for pid in v.premises)):
-                bad_exact += 1
+                continue
+            if need[1]:
+                if xdecomp is None:
+                    # hashing the params themselves would cost more than
+                    # the check; the contexts keep them alive
+                    key = (ctx.kind, id(ctx.params), ctx.m, ctx.s,
+                           ctx.k == ctx.s)
+                    if key not in xdecomps:
+                        xdecomps[key] = _xdecomp_vanishes(
+                            ctx.kind, ctx.params, ctx.m, ctx.s, ctx.k == ctx.s)
+                    xdecomp = xdecomps[key]
+                if not xdecomp:
+                    bad_rules += 1
+                    continue
+            # the named atoms the product lacks must be in the context
+            rest = rests.get(id(atoms))
+            if rest is None:
+                rest = rests[id(atoms)] = tuple(
+                    a for a in need[0] if a not in atoms)
+            for a in rest:
+                if a not in chern:
+                    bad_rules += 1
+                    break
+        elif (type(v) is not ValExactly or not leading or v.value != 1
+              or not all(pid in PREMISES for pid in v.premises)):
+            bad_exact += 1
+    tallies = tuple(tallies)
     out.add("exactly one leading case", n_leading == 1)
     out.add("zero reasons justified", bad_zero == 0, f"{bad_zero} bad")
     out.add("rule premises satisfied", bad_rules == 0, f"{bad_rules} bad")
     out.add("exact verdicts are the declared leading premise", bad_exact == 0)
-    out.add("class weights recounted", bad_weight == 0, f"{bad_weight} bad")
+    out.add("class weights recounted",
+            bad_weight == 0 and tallies == report.tallies,
+            f"{bad_weight} bad" + ("" if tallies == report.tallies else
+                                   f", tallies {report.tallies} recounted "
+                                   f"as {tallies}"))
     out.add("support checks hold", all(ok for _, ok, _ in report.support))
     return out

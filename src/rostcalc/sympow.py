@@ -64,10 +64,16 @@ class GradedMap:
                     for c, b in right[t]:
                         acc[c] += a * b
             prod.append(tuple(acc))
-        return GradedMap(
-            other.source, self.target, tuple(prod),
-            shift=self.shift + other.shift,
-        )
+        shift = self.shift + other.shift
+        if other.target.twists != self.source.twists:
+            # equal labels over other twists: only the check can tell
+            return GradedMap(other.source, self.target, tuple(prod), shift)
+        # a product of homogeneous maps over one inner module is homogeneous
+        # with the shifts added, and has the right shape: skip the re-check
+        out = object.__new__(GradedMap)
+        vars(out).update(source=other.source, target=self.target,
+                         matrix=tuple(prod), shift=shift)
+        return out
 
     def __sub__(self, other):
         if self.source.dim != other.source.dim or self.target.dim != other.target.dim:

@@ -1,12 +1,17 @@
 """Command-line interface: payloads, formats, exit codes, goldens."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rostcalc
 from rostcalc import rostchow, steenrod, verify
@@ -376,6 +381,14 @@ HOSTILE_ARGV = {
     "symmpow verify at p=211": (["verify", "-p", "211", "-n", "1", "--suite",
                                  "symmpow"], 2,
                                 "verify too large: p = 211, more than 61"),
+    "params at n=10^18": (["params", "-p", "3", "-n", str(10**18)], 2,
+                          "symbol too large: p^(n+1) would pass 10000 bits "
+                          f"at p=3 n={10**18}"),
+    "rationality audit at s=10^18": (["audit", "-p", "3", "-n", "2",
+                                      "--rationality", "-m", "1", "-s",
+                                      str(10**18)], 2,
+                                     f"Steenrod degree s = {10**18} above "
+                                     "d = 8; nothing is claimed above d"),
 }
 
 
@@ -492,3 +505,95 @@ def test_audit_csv_summary(capsys):
     assert code == 0
     assert out.startswith("key,value\nkind,generators\n")
     assert "passed,true" in out
+
+
+# --- argv fuzzing ----------------------------------------------------------------
+
+# symbols whose every audit, table and suite runs well inside a second
+_SYMBOLS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
+_HOSTILE = ("-7", "-1", "0", "60", "64", str(10**18), "x", "1.5", "")
+_INTS = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(_HOSTILE))
+_EXPONENTS = st.sampled_from(("0", "1", "2", "3", "7", "100000000",
+                              str(10**18)))
+_FLAGS = {
+    "-e": st.sampled_from(("1", "2", "-1", "1/2", "3", "0", "1/0", "x")),
+    "-m": _INTS, "-s": _INTS, "-r": _INTS, "--j": _INTS,
+    "--bidegree": st.tuples(_INTS, _INTS),
+    "--row": st.sampled_from(("even", "odd", "diagonal")),
+    "--suite": st.sampled_from(("correspondences", "symmpow", "endalg",
+                                "motcoh", "steenrod", "all", "none")),
+    "--format": st.sampled_from(("text", "json", "csv", "xml")),
+    "--method": st.sampled_from(("closed", "recurrence", "both", "fast")),
+    "--trace": st.just(()), "--rationality": st.just(()),
+    "--generators": st.just(()), "--help": st.just(()),
+}
+_TOKENS = ("sigma", "rho", "pi", "E", "H", "(", ")", ",", "+", "-", "*",
+           "@", "^", "^@", "0", "1", "2", "7", "1/2", "1/0", str(10**18),
+           "t", "mult", "diag", "deg", "act", "tuple", "inv", "rational",
+           "x", "$")
+_ATOMS = st.one_of(
+    st.sampled_from(("sigma", "rho", "pi", "2", "1/2", "-3/7")),
+    _INTS.map(lambda k: f"H^{k}"),
+    st.tuples(_INTS, _INTS).map(lambda ij: "E(%s,%s)" % ij))
+
+
+def _extend(expr):
+    return st.one_of(
+        st.tuples(expr, st.sampled_from("+-*@"), expr).map(
+            lambda t: "(%s %s %s)" % t),
+        st.tuples(expr, st.sampled_from(("^", "^@")), _EXPONENTS).map(
+            "".join),
+        st.tuples(st.sampled_from(("t", "mult", "diag", "deg", "tuple", "inv",
+                                   "rational", "-")), expr).map(
+            lambda t: "%s(%s)" % t),
+        st.tuples(expr, _INTS).map(lambda t: "act(%s, %s)" % t))
+
+
+_EXPRS = st.one_of(
+    st.recursive(_ATOMS, _extend, max_leaves=6),
+    st.lists(st.sampled_from(_TOKENS), max_size=10).map(" ".join))
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, -p and -n (usually a small symbol, sometimes a hostile
+    value or missing), a few flags and, for eval, an expression."""
+    argv = [draw(st.sampled_from(("params", "chow", "motcoh", "verify",
+                                  "eval", "audit", "bogus")))]
+    p, n = (str(v) for v in draw(st.sampled_from(_SYMBOLS)))
+    p = draw(st.sampled_from((p, p, p, draw(_INTS))))
+    n = draw(st.sampled_from((n, n, n, draw(_INTS))))
+    for flag, value in (("-p", p), ("-n", n)):
+        if draw(st.integers(0, 9)):
+            argv += [flag, value]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=4)):
+        value = draw(_FLAGS[flag])
+        argv += [flag, *((value,) if isinstance(value, str) else value)]
+    if argv[0] == "eval":
+        argv += ["--", draw(_EXPRS)]
+    return argv
+
+
+class _Overtime(Exception):
+    pass
+
+
+def _overtime(signum, frame):
+    raise _Overtime("over 1 s")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_argv_fuzz_exit_contract(argv):
+    """Any argv ends within 1 s with exit 0, 1 or 2 and no exception; a
+    timer interrupts one that runs longer, which fails the example."""
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)

@@ -25,6 +25,14 @@ def test_params_identities(p, n):
     assert pr.d == pr.b * (p - 1) == pr.c - pr.b - 1
 
 
+def test_params_symbol_size_bound():
+    # c < p^(n+1) must fit MAX_COEFF_BITS: 2^9999 has 10,000 bits
+    assert make_params(2, 9998).d == 2**9998 - 1
+    for p, n in ((2, 9999), (3, 10**18), (10**9 + 7, 1200)):
+        with pytest.raises(ValueError, match="symbol too large"):
+            make_params(p, n)
+
+
 def test_params_rejections():
     with pytest.raises(ValueError):
         make_params(4, 2)

@@ -17,6 +17,7 @@ import rostcalc
 from rostcalc.splitring import make_params
 from rostcalc.steenrod import (
     MAX_AUDIT_DIM,
+    AuditCase,
     AuditReport,
     PairingContext,
     RuleApp,
@@ -255,6 +256,9 @@ def test_rationality_p3_n2_passes():
 def test_rationality_bound_violation():
     with pytest.raises(ValueError, match="bound not satisfied"):
         audit_rationality(make_params(3, 2), 10, 2)
+    # above d = 8 nothing is claimed, and the budget d + s is unbounded
+    with pytest.raises(ValueError, match="s = 10 above d = 8"):
+        audit_rationality(make_params(3, 2), 1, 10)
 
 
 def test_rationality_trivial_for_invalid_index():
@@ -462,13 +466,47 @@ def _oracle_audits():
         yield audit_generators(pr, m, r)
 
 
+def _weighted_counts(report):
+    """The verdict tallies of a report, recounted from its cases' weights."""
+    out = {"zero": 0, "at-least": 0, "exact": 0}
+    for case in report.cases:
+        key = ("zero" if isinstance(case.verdict, Zero) else
+               "at-least" if isinstance(case.verdict, ValAtLeast) else "exact")
+        out[key] += case.weight
+    return out
+
+
 def test_class_tallies_match_term_oracle():
     grouped = 0
     for report in _oracle_audits():
         want = _tallies_by_index(report, terms=True)
         assert _tallies_by_index(report, terms=False) == want, report.title
+        # the tallies the audit carries are the weighted recount
+        assert report.counts() == _weighted_counts(report), report.title
         grouped += sum(c.weight > 1 for c in report.cases)
     assert grouped > 1000
+
+
+def test_records_are_real_instances():
+    """The audits build their records without the NamedTuple __new__;
+    they are still plain instances with fields, equality and _replace."""
+    pr = make_params(2, 3)
+    for rep in (audit_rationality(pr, 3, 5), audit_generators(pr, 2, 1)):
+        for case in rep.cases:
+            records = [(case, AuditCase)]
+            if case.product is not None:
+                records += [(case.product, SteenProduct),
+                            (case.product.context, PairingContext)]
+            for rec, cls in records:
+                assert type(rec) is cls
+                assert rec == cls(*rec)
+                assert tuple(getattr(rec, f) for f in cls._fields) == rec
+            if case.product is not None:
+                bumped = case._replace(
+                    product=case.product._replace(weight=case.weight + 1))
+                assert type(bumped.product) is SteenProduct
+                assert bumped.weight == case.weight + 1
+                assert bumped.product.context is case.product.context
 
 
 # --- report plumbing ----------------------------------------------------------------
@@ -530,6 +568,16 @@ def test_replay_recounts_class_weights():
         if c.weight > 1 else c for c in rep.cases)
     check = replay(replace(rep, cases=cases))
     assert [name for name, _ in check.failures()] == ["class weights recounted"]
+
+
+def test_replay_recounts_tallies():
+    rep = audit_rationality(make_params(3, 2), 2, 2)
+    assert replay(rep).passed
+    for slot in range(3):
+        off = tuple(t + (k == slot) for k, t in enumerate(rep.tallies))
+        check = replay(replace(rep, tallies=off))
+        assert [name for name, _ in check.failures()] == [
+            "class weights recounted"], slot
 
 
 def test_composition_closed_form_matches_cartan_expand():

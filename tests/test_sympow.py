@@ -52,6 +52,10 @@ def test_twist_homogeneity_enforced():
     tgt = sym_module(1, pr)
     with pytest.raises(ValueError, match="twist homogeneity"):
         GradedMap(src, tgt, ((0, 1), (0, 0)))  # e_1 -> e_0 drops a twist
+    # a product over inner modules with equal labels but other twists is
+    # checked too: e_1 sits at twist 4 for p = 3 and at 6 for p = 5
+    with pytest.raises(ValueError, match="twist homogeneity"):
+        identity_map(tgt) @ identity_map(sym_module(1, params_for(5)))
 
 
 def test_shape_checks_raise_value_error():
@@ -286,6 +290,9 @@ def test_sparse_product_matches_dense(p):
             assert all(type(row) is tuple for row in prod.matrix)
             assert (prod.source, prod.target, prod.shift) == (
                 g.source, f.target, f.shift + g.shift)
+            # built without the re-check, equal to the validated map
+            assert prod == GradedMap(prod.source, prod.target, prod.matrix,
+                                     prod.shift)
             pairs += 1
     assert pairs >= 5 * (p - 1)
 
