@@ -26,18 +26,50 @@ def as_local(x) -> Fraction:
     raise TypeError("cannot interpret %r as a p-local integer" % (x,))
 
 
+#: below this, primality is decided by trial division
+TRIAL_DIVISION_BELOW = 2 ** 16
+#: the first 13 primes: a strong probable prime to all of them as bases is
+#: prime below MAX_PRIME, the least strong pseudoprime to these bases
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+#: Math. Comp. 86 (2017))
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def is_prime(p) -> bool:
+    """Exact primality: trial division below 2^16, deterministic
+    Miller-Rabin over the first 13 prime bases up to MAX_PRIME (about
+    3.3 * 10^24); a ValueError above it, where the test is not proved."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
     if p < 4:
         return True
     if p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p < TRIAL_DIVISION_BELOW:
+        f = 3
+        while f * f <= p:
+            if p % f == 0:
+                return False
+            f += 2
+        return True
+    if p >= MAX_PRIME:
+        raise ValueError(f"p too large: primality is decided only below "
+                         f"{MAX_PRIME}")
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

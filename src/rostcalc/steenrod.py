@@ -8,9 +8,14 @@ by the Cartan formula and each S^a(sigma) into
     S^a(sigma) = p*theta_a + 1 x S^a(H) - S^a(H) x 1,
 
 and returns one verdict per term.  A verdict reads a term only through its
-pairing and its numbers of theta, second and third factors, so the terms
-are grouped into those count classes: one representative product per
-class, weighted by the number of terms it stands for.  The verdicts are:
+pairing and its bucket: two or more thetas, one theta, no theta but a
+second, or thirds only.  So the audits never materialise terms.  A row
+(i, j) of the budget splits its l into runs with one verdict regime each
+(l = 0 and the l with k = s alone, the stretches between them whole), and a
+run has one case per non-empty bucket, classified through one product and
+weighted by prefix sums over l; its ``range`` names the l it covers.
+
+The verdicts are:
 
 * ``Zero(reason)``    -- the term vanishes on the nose;
 * ``ValExactly(1)``   -- the single leading term, valuation exactly 1,
@@ -19,13 +24,14 @@ class, weighted by the number of terms it stands for.  The verdicts are:
                          classes), certified by a trace of rule applications.
 
 Every rule application names the atoms it uses, and ``replay`` re-checks all
-premises independently, so a report can be audited without trusting the case
-split that produced it.
+premises over each run's whole range and recounts every weight in closed
+form, so a report can be audited without trusting the case split that
+produced it.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import groupby
 from typing import NamedTuple
 
 from .arith import multinomial, val
@@ -47,8 +53,9 @@ ATOM_KINDS = ("sigma", "theta", "second", "third", "chern_x", "chern_y",
 _RATIONAL = frozenset({"second", "third", "chern_x", "chern_y"})
 
 #: the largest dimension d = p^n - 1 the audits and their argument grids
-#: take.  An audit enumerates about (d + s)^3 / 6 indices, and at (11, 2),
-#: d = 120, the smallest rationality audit already has 506,890 classes.
+#: take.  A rationality audit has (d + s)(d + s + 1) / 2 rows (i, j) of at
+#: most 14 cases each; at (11, 2), d = 120, the s = 120 audit has 53,862
+#: cases standing for 4.3 * 10^9 terms.
 MAX_AUDIT_DIM = 128
 
 
@@ -105,9 +112,9 @@ class SteenAtom(_Atom):
 # atoms are immutable, so the audits share one per (kind, index)
 _atom = lru_cache(maxsize=None)(SteenAtom)
 
-# The audits build the records below (PairingContext, SteenProduct,
-# AuditCase) as _new(Record, fields) with every field given: the same
-# instance as Record(*fields), without the Python-level __new__ that
+# The audits build their records (PairingContext, SteenProduct, AuditCase)
+# in the loop over runs as _new(Record, fields) with every field given: the
+# same instance as Record(*fields), without the Python-level __new__ that
 # NamedTuple generates, which costs one frame per record.
 _new = tuple.__new__
 
@@ -147,8 +154,8 @@ def _atom_tally(atoms):
 
 
 class SteenProduct(NamedTuple):
-    """A count class of expansion terms: the ``weight`` terms with the same
-    sigma, theta, second and third counts over one Cartan composition,
+    """A bucket of expansion terms: the ``weight`` terms of one expansion
+    whose theta, second and third counts fall in the same verdict bucket,
     represented by one of them (``atoms``, with its signed ``scalar``)."""
 
     atoms: tuple
@@ -291,45 +298,71 @@ def cartan_expand(r, l, p):
     return list(_cartan_expand_cached(r, l, p))
 
 
-@lru_cache(maxsize=None)
-def _class_atoms(parts):
-    """(atoms, sign, weight) of every count class of one composition,
-    theta-heaviest first: for a theta, b second and c third atoms on its
-    q positive parts, weight = multinomial((a, b, c)) and sign = (-1)^c."""
-    positive = [v for v in parts if v]
-    sigmas = (SteenAtom("sigma"),) * (len(parts) - len(positive))
-    q = len(positive)
-    out = []
-    for a in range(q, -1, -1):
-        for b in range(q - a, -1, -1):
-            c = q - a - b
-            kinds = ("theta",) * a + ("second",) * b + ("third",) * c
-            atoms = sigmas + tuple(SteenAtom(kind, v)
-                                   for kind, v in zip(kinds, positive))
-            out.append((atoms, (-1) ** c, multinomial((a, b, c))))
-    return tuple(out)
+def _bucket(n_theta, n_second):
+    """The verdict bucket of a term: 0 for two or more thetas, 1 for one
+    theta, 2 for no theta but a second, 3 for thirds only (or none)."""
+    return 0 if n_theta >= 2 else 1 if n_theta else 2 if n_second else 3
+
+
+def _bucket_split(q):
+    """Per bucket, how many of the 3^q theta/second/third assignments to q
+    positive parts fall in it."""
+    one_theta = q * 2 ** q // 2
+    return 3 ** q - 2 ** q - one_theta, one_theta, 2 ** q - 1, 1
 
 
 def substitute_dcmp(expansion, context=None):
     """Expand every positive part of every Cartan composition through the
-    three-term sigma decomposition, one product per count class.
+    three-term sigma decomposition, one product per non-empty bucket,
+    weighted by the number of terms in it.  A composition's 3^q terms split
+    over the buckets by its number q of positive parts.  A bucket's product
+    is the theta-heaviest class of the first composition that fills it:
+    theta, then second, then third on its positive parts, sigma on its zero
+    parts, scalar multiplicity * (-1)^(number of thirds)."""
+    weights, reps = [0, 0, 0, 0], [None] * 4
+    for parts, multiplicity in expansion:
+        positive = [v for v in parts if v]
+        for bucket, w in enumerate(_bucket_split(len(positive))):
+            weights[bucket] += w
+            if w and reps[bucket] is None:
+                reps[bucket] = len(parts) - len(positive), positive, multiplicity
+    out = []
+    for bucket, rep in enumerate(reps):
+        if rep is not None:
+            sigmas, positive, multiplicity = rep
+            q = len(positive)
+            a, b = ((q, 0), (1, q - 1), (0, q), (0, 0))[bucket]
+            kinds = ("theta",) * a + ("second",) * b + ("third",) * (q - a - b)
+            atoms = (_atom("sigma"),) * sigmas + tuple(
+                _atom(kind, v) for kind, v in zip(kinds, positive))
+            out.append(SteenProduct(atoms, multiplicity * (-1) ** (q - a - b),
+                                    context, weights[bucket]))
+    return out
 
-    Zero parts stay as sigma factors.  For q positive parts there is one
-    class per (a, b, c) with a + b + c = q; its representative puts theta
-    on the first a parts, second on the next b and third on the last c,
-    its scalar is multiplicity * (-1)^c and its weight the number of terms
-    it stands for.  The explicit p on each theta stays on the atom itself.
-    """
-    return [_new(SteenProduct, (atoms, multiplicity * sign, context, weight))
-            for parts, multiplicity in expansion
-            for atoms, sign, weight in _class_atoms(parts)]
+
+@lru_cache(maxsize=None)
+def _weight_sums(r, p, top):
+    """The bucket tables of S^l over r factors for l <= top (each bucket's
+    product, None where empty), and prefix sums over l, stepped by p - 1,
+    of the bucket weights: sums[bucket][c + p - 1] - sums[bucket][a] sums
+    over range(a, c + 1, p - 1)."""
+    step, tables = p - 1, []
+    sums = [[0] * (top + 1 + step) for _ in range(4)]
+    for l in range(top + 1):
+        table = [None] * 4
+        for prod in substitute_dcmp(cartan_expand(r, l, p)):
+            table[_bucket(*_atom_tally(prod.atoms)[0][1:3])] = prod
+        tables.append(tuple(table))
+        for row, prod in zip(sums, table):
+            row[l + step] = row[l] + (prod.weight if prod else 0)
+    return tuple(tables), tuple(map(tuple, sums))
 
 
 # --- the rule engine -----------------------------------------------------------
 
 
-# Verdicts are shared: one Zero per reason, one RuleApp per (rule, atoms)
-# and one ValAtLeast(2) per tuple of rule applications.  The atoms name
+# Verdicts are shared: one Zero per reason and one ValAtLeast(2) per tuple
+# of rule applications.  The atoms name
 # indices below 2 * MAX_AUDIT_DIM, so the caches stay small.
 _ZERO = {reason: Zero(reason) for reason in ZERO_REASONS}
 _EXACT_RAT = ValExactly(1, ("top-chern-degree", "unit-pairing-degree"))
@@ -338,14 +371,9 @@ _XDECOMP = ("x-decomp-vanishes", ())
 
 
 @lru_cache(maxsize=None)
-def _rule_app(rule, atoms):
-    return RuleApp(rule, atoms)
-
-
-@lru_cache(maxsize=None)
 def _at_least(*apps):
     """The ValAtLeast(2) certified by apps, each a (rule, atoms) pair."""
-    return ValAtLeast(2, tuple(_rule_app(rule, atoms) for rule, atoms in apps))
+    return ValAtLeast(2, tuple(RuleApp(rule, atoms) for rule, atoms in apps))
 
 
 def valuation_bound(prod):
@@ -409,15 +437,17 @@ def valuation_bound(prod):
 
 
 class AuditCase(NamedTuple):
+    """One verdict over a run of l values: ``index`` is the (i, j, k, l)
+    of its representative ((i, j) in a generators audit), ``range`` the l
+    it covers and ``weight`` the number of expansion terms it stands for
+    (one per l for an unexpanded zero)."""
+
     index: tuple
     product: SteenProduct
     verdict: object
     leading: bool = False
-
-    @property
-    def weight(self):
-        """The number of expansion terms this case stands for."""
-        return self.product.weight if self.product is not None else 1
+    range: object = None
+    weight: int = 1
 
     def describe(self):
         prod = str(self.product) if self.product is not None else "unexpanded"
@@ -447,10 +477,7 @@ class AuditReport:
 
     @property
     def leading(self):
-        for case in self.cases:
-            if case.leading:
-                return case
-        return None
+        return next((case for case in self.cases if case.leading), None)
 
     def counts(self):
         """Verdict tallies over expansion terms (case weights summed)."""
@@ -466,42 +493,23 @@ class AuditReport:
         return lines
 
 
-def _grade(verdict, leading):
-    """(tally slot, ok) of a case: its verdict's slot, and whether the
-    verdict is one a passing audit may hold."""
-    slot = _SLOT.get(type(verdict), 2)
-    if leading:
-        ok = type(verdict) is ValExactly and verdict.value == 1
-    elif slot == 0:
-        ok = verdict.reason in ZERO_REASONS
-    else:
-        ok = slot == 1 and verdict.value >= 2
-    return slot, ok
-
-
 def _conclude(cases, support, pass_text, fail_text):
     """(passed, conclusion, tallies) of an audit, in one pass over its
     cases: the weighted verdict tallies, and what first keeps the audit
     from passing (the number of leading cases, then the first case whose
     verdict is not allowed, then the first failing support check)."""
     tallies = [0, 0, 0]
-    # verdicts are shared objects that the cases keep alive, so id(v)
-    # names one verdict for the whole pass; graded memoises _grade of the
-    # cases that are not leading
-    graded = {}
     n_leading = 0
     first = None
     for case in cases:
-        _, prod, v, leading = case
-        if leading:
-            n_leading += 1
-            grade = _grade(v, True)
-        else:
-            grade = graded.get(id(v))
-            if grade is None:
-                grade = graded[id(v)] = _grade(v, False)
-        tallies[grade[0]] += 1 if prod is None else prod.weight
-        if not grade[1] and first is None:
+        _, _, verdict, leading, _, weight = case
+        slot = _SLOT.get(type(verdict), 2)
+        tallies[slot] += weight
+        n_leading += leading
+        if first is None and not (
+                type(verdict) is ValExactly and verdict.value == 1 if leading
+                else verdict.reason in ZERO_REASONS if slot == 0
+                else slot == 1 and verdict.value >= 2):
             first = case
     if n_leading != 1:
         offender = f"{n_leading} leading cases, expected 1"
@@ -518,18 +526,53 @@ def _conclude(cases, support, pass_text, fail_text):
 # --- the two audits --------------------------------------------------------------
 
 
-def _index_cases(cases, index, ctx, leading):
-    """Append the audit cases of one index to ``cases``: a cartan-empty
-    zero, or one case per count class of S^l over the context's sigma power
-    (ctx.r factors, ctx.l the Steenrod degree on it)."""
-    expansion = cartan_expand(ctx.r, ctx.l, ctx.params.p)
-    if not expansion:
-        cases.append(_new(AuditCase, (index, None, _ZERO["cartan-empty"],
-                                      False)))
-        return
-    for prod in substitute_dcmp(expansion, ctx):
-        cases.append(_new(AuditCase,
-                          (index, prod, valuation_bound(prod), leading)))
+@lru_cache(maxsize=None)
+def _row_plan(r, p, top, budget, l_s):
+    """The cases of a rationality row, l = 0 .. budget with k = s at l_s,
+    as (range of l, representative l, bucket product or zero, weight): an
+    invalid-S^k zero for the l whose k = budget - l is invalid, then runs
+    of the other l, stepped by p - 1, that end where S^l over r factors
+    turns empty or not, with l = 0 and l_s alone where S^l is not empty.
+    An empty run is one cartan-empty zero; any other has a case per
+    non-empty bucket, weighted from the prefix sums and represented at the
+    first l that fills the bucket."""
+    step = p - 1
+    tables, sums = _weight_sums(r, p, top)
+    valid = range(budget % step, budget + 1, step)
+    empty = {l: tables[l] == (None,) * 4 for l in valid}
+    plan = []
+    if len(valid) <= budget:
+        l = 0 if budget % step else 1
+        plan.append((range(budget + 1), l, _ZERO["steenrod-index-invalid"],
+                     budget + 1 - len(valid)))
+    edges = {valid.start, budget + step}
+    for l in valid:
+        if l in (0, l_s) and not empty[l]:
+            edges |= {l, l + step}
+        elif l > valid.start and empty[l] != empty[l - step]:
+            edges.add(l)
+    edges = sorted(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        run = range(lo, hi, step)
+        if empty[lo]:
+            plan.append((run, lo, _ZERO["cartan-empty"], len(run)))
+            continue
+        for bucket, sums_b in enumerate(sums):
+            if sums_b[hi] > sums_b[lo]:
+                l = next(l for l in run if tables[l][bucket])
+                plan.append((run, l, tables[l][bucket],
+                             sums_b[hi] - sums_b[lo]))
+    return tuple(plan)
+
+
+def _case(index, rep, ctx, run, weight, leading):
+    """The audit case of a zero verdict, or of a bucket product classified
+    in the context ``ctx``."""
+    if type(rep) is Zero:
+        return _new(AuditCase, (index, None, rep, False, run, weight))
+    prod = _new(SteenProduct, (rep.atoms, rep.scalar, ctx, rep.weight))
+    return _new(AuditCase, (index, prod, valuation_bound(prod), leading, run,
+                            weight))
 
 
 def rationality_arguments(params):
@@ -580,7 +623,9 @@ def audit_rationality(params, m, s):
     rational modulo the ideal p^2*CH + p*(rational classes).
 
     Enumerates the budget i + j + k + l = d + s with i >= 1, expands the
-    sigma-power factor, and classifies every term.  Passes iff the single
+    sigma-power factor, and classifies every term, row by row: a row (i, j)
+    has one Chern-overflow zero if i or j exceeds d, else one zero for the
+    l whose S^k is invalid and the cases of its runs.  Passes iff the single
     leading term (i = d, j = l = 0, k = s) has valuation exactly 1 and every
     other term is Zero or ValAtLeast(2).
     """
@@ -605,29 +650,26 @@ def audit_rationality(params, m, s):
             passed=True)
 
     support = _rationality_support(params)
-    total = d + s
+    total, step = d + s, p - 1
     chern = [_atom("chern_x", i) for i in range(d + 1)]
-    overflow = _ZERO["chern-index-overflow"]
-    invalid = _ZERO["steenrod-index-invalid"]
     cases = []
     for i in range(1, total + 1):
         for j in range(total - i + 1):
             budget = total - i - j
-            for l in range(budget + 1):
-                k = budget - l
-                index = (i, j, k, l)
-                if i > d or j > d:
-                    cases.append(_new(AuditCase, (index, None, overflow,
-                                                  False)))
-                elif not steen_index_valid(k, p):
-                    cases.append(_new(AuditCase, (index, None, invalid,
-                                                  False)))
-                else:
-                    ctx = _new(PairingContext, (
-                        "rationality", params, m, s, p - 1, i, j, k, l,
-                        (chern[i], chern[j])))
-                    _index_cases(cases, index, ctx,
-                                 l == 0 and i == d and j == 0)
+            if i > d or j > d:
+                cases.append(AuditCase((i, j, budget, 0), None,
+                                       _ZERO["chern-index-overflow"], False,
+                                       range(budget + 1), budget + 1))
+                continue
+            here = None
+            for run, l, rep, weight in _row_plan(step, p, 2 * d, budget,
+                                                 budget - s):
+                if l != here:
+                    here, ctx = l, _new(PairingContext, (
+                        "rationality", params, m, s, step, i, j, budget - l,
+                        l, (chern[i], chern[j])))
+                cases.append(_case((i, j, budget - l, l), rep, ctx, run,
+                                   weight, i == d and j == 0 and l == 0))
 
     ok, conclusion, tallies = _conclude(
         cases, support,
@@ -645,7 +687,8 @@ def audit_generators(params, m, r):
     Part (a): its splitting-field restriction vanishes degreewise, so p
     kills it.  Part (b): the degree pairing's j = 0 term has valuation
     exactly 1 and every j > 0 term is zero or p^2-divisible, so it is not
-    itself p-divisible.
+    itself p-divisible.  Each j is a run of its own: the Chern atom its
+    verdicts name changes with j.
     """
     _check_audit_size(params)
     p, b, n, d = params.p, params.b, params.n, params.d
@@ -676,12 +719,15 @@ def audit_generators(params, m, r):
          f"compose(projector, sigma^{r}) = sigma^{r}"),
     )
 
-    cases = []
+    tables, cases = _weight_sums(r, p, 2 * d)[0], []
     for j in range(dim_y + 1):
-        i = dim_y - j
-        ctx = _new(PairingContext, ("generators", params, m, j, r, i, j, 0,
-                                    j, (_atom("chern_y", i),)))
-        _index_cases(cases, (i, j), ctx, j == 0)
+        i, run = dim_y - j, range(j, j + 1)
+        ctx = PairingContext("generators", params, m, j, r, i, j, 0, j,
+                             (_atom("chern_y", i),))
+        for rep in [prod for prod in tables[j] if prod] or [
+                _ZERO["cartan-empty"]]:
+            cases.append(_case((i, j), rep, ctx, run,
+                               getattr(rep, "weight", 1), j == 0))
 
     ok, conclusion, tallies = _conclude(
         cases, support,
@@ -695,13 +741,27 @@ def audit_generators(params, m, r):
 # --- trace replay -----------------------------------------------------------------
 
 
-def _recount(atoms):
-    """(theta, second, third, weight) of a class's atoms, counted afresh:
-    its weight counts the ways to place its theta, second and third atoms
-    on its q positive parts."""
-    kinds = [a.kind for a in atoms]
-    a, b, c = kinds.count("theta"), kinds.count("second"), kinds.count("third")
-    return a, b, c, comb(a + b + c, a) * comb(b + c, b)
+@lru_cache(maxsize=None)
+def _partitions(n, q):
+    """The number of partitions of n into exactly q positive parts."""
+    if q <= 0 or n < q:
+        return int(n == q == 0)
+    return _partitions(n - 1, q - 1) + _partitions(n - q, q)
+
+
+@lru_cache(maxsize=None)
+def _closed_run(r, p, lo, last):
+    """Per bucket, the terms of S^l over r factors over the l of the run
+    range(lo, last + 1, p - 1), and the buckets they fill, in closed form:
+    with L = l/(p-1), S^l has P(L, q) compositions with q <= r positive
+    parts (partitions of L into q parts), each of 3^q terms."""
+    weights = [0, 0, 0, 0]
+    for l in range(lo, last + 1, p - 1):
+        for q in range(min(r, l // (p - 1)) + 1) if l % (p - 1) == 0 else ():
+            for bucket, w in enumerate(_bucket_split(q)):
+                weights[bucket] += _partitions(l // (p - 1), q) * w
+    return tuple(weights), tuple(bucket for bucket in range(4)
+                                 if weights[bucket])
 
 
 def _has_composition(r, l, p):
@@ -712,31 +772,29 @@ def _has_composition(r, l, p):
     return l % (p - 1) == 0 and (r >= 1 or l == 0)
 
 
-def _check_zero(reason, index, tally, report, args):
-    """Whether a Zero(reason) verdict holds at ``index``; ``tally`` is the
-    _recount of the case's product, or None for an unexpanded case."""
-    params = report.params
-    p, b, d = params.p, params.b, params.d
-    third_only = tally is not None and tally[0] == tally[1] == 0 < tally[2]
-    if report.kind == "rationality":
-        i, j, k, l = index
-        if reason == "chern-index-overflow":
-            return i > d or j > d
-        if reason == "steenrod-index-invalid":
-            return not steen_index_valid(k, p)
-        if reason == "cartan-empty":
-            return l > 0 and not _has_composition(p - 1, l, p)
-        if reason == "rho-pairing-zero":
-            return l == 0 and i % b != 0
-        if reason == "proj1-sigma-power-zero":
-            return third_only and k == args["s"] and j == 0
-        return False
-    i, j = index
+def _zero_holds(reason, row, run, span, third_only, report, args):
+    """Whether a Zero(reason) verdict holds at every l of ``run`` in the row
+    ``row`` of l values ``span``; ``third_only`` is whether the case's
+    product has only third factors (None without a product)."""
+    params, (i, j) = report.params, row
+    p = params.p
     if reason == "cartan-empty":
-        return j > 0 and not _has_composition(args["r"], j, p)
+        # the l of a run agree modulo its step, p - 1
+        r = p - 1 if report.kind == "rationality" else args["r"]
+        return run[0] > 0 and not _has_composition(r, run[0], p)
     if reason == "proj1-sigma-power-zero":
-        return third_only
-    return False
+        l_s = span[-1] - args.get("s", 0)
+        return third_only is True and (report.kind != "rationality" or (
+            j == 0 and run == range(l_s, l_s + 1)))
+    if report.kind != "rationality":
+        return False
+    if reason == "chern-index-overflow":
+        return i > params.d or j > params.d
+    if reason == "steenrod-index-invalid":
+        # it stands for the l of the row whose S^k is invalid
+        return run == span
+    return (reason == "rho-pairing-zero" and run == range(1)
+            and i % params.b != 0)
 
 
 def _xdecomp_vanishes(kind, params, m, s, at_s):
@@ -749,6 +807,7 @@ def _xdecomp_vanishes(kind, params, m, s, at_s):
     return all(s + rr * b > (m - rr * b) * (p - 1) for rr in range(1, p))
 
 
+@lru_cache(maxsize=None)
 def _rule_needs(verdict):
     """What a ValAtLeast verdict needs of its case: None if its rules
     cannot certify it anywhere (their factors fall short of its value, or
@@ -774,15 +833,41 @@ def _rule_needs(verdict):
     return (shown, xdecomp) if factors >= verdict.value else None
 
 
-def replay(report):
-    """Re-check every verdict's premises and every class weight
-    independently of the enumeration, and recount the weighted verdict
-    tallies from the recounted weights.
+#: the l a run covers, by the zero reason of its case: every l of its
+#: range for a Chern overflow, those whose k is invalid for an invalid
+#: S^k, and all its l, stepped by p - 1 ("valid"), for any other case
+_COVERS = {"chern-index-overflow": "all", "steenrod-index-invalid": "invalid"}
 
-    The cases of one index share one pairing context, so which Chern atoms
-    it shows is read once per context; whether its x-decomposition vanishes
-    is decided once per (kind, symbol, m, s, k == s).  Every case checks its
-    own atoms and weight.
+
+def _row_tiled(span, ks_valid, runs):
+    """Whether the runs of one row, each (cover, range, product buckets,
+    non-empty buckets), cover each l of ``span`` once, with one case per
+    non-empty bucket: a Chern-overflow zero alone over the whole row, or
+    one invalid-S^k zero over the row for the l whose k is invalid (if
+    any) and runs stepped by p - 1 tiling ``ks_valid`` in order."""
+    step, start = ks_valid.step, ks_valid.start
+    gaps = len(ks_valid) < len(span)
+    for cover, run, buckets, full in runs:
+        if cover == "all":
+            return len(runs) == 1 and run == span
+        if cover == "invalid":
+            if not gaps or run != span:
+                return False
+            gaps = False
+        elif run[0] != start or buckets and tuple(buckets) != full:
+            return False
+        else:
+            start = run[-1] + step
+    return not gaps and start == ks_valid[-1] + step
+
+
+def replay(report):
+    """Re-check every verdict's premises over its whole run and every
+    weight in closed form, independently of the enumeration, and recount
+    the weighted verdict tallies.  A case's context must be the one its row
+    and l give, x-decomp-vanishes needs k != s all along the run, and l = 0
+    is a run of its own.  The cases of a row come together, those of a run
+    too, and the runs of a row partition its l.
     """
     out = CheckReport(f"replay: {report.title}")
     if not report.cases:
@@ -790,76 +875,82 @@ def replay(report):
                 report.conclusion)
         return out
     args = dict(report.args)
-    # atoms tuples and verdicts are shared objects that the report keeps
-    # alive, so their ids name one of them for the whole loop.  A verdict
-    # maps to its tally slot, its _rule_needs (at-least verdicts) and the
-    # needed atoms each atoms tuple lacks.
-    recounts, verdicts, xdecomps = {}, {}, {}
-    ctx = index = xdecomp = None
-    chern = ()
-    tallies = [0, 0, 0]
+    params, kind, m = report.params, report.kind, args["m"]
+    p, d, step = params.p, params.d, params.p - 1
+    r, s = (step, args["s"]) if kind == "rationality" else (args["r"], None)
+    dim_y = p ** m - 1 if kind == "generators" else None
+    xdecomp = [_xdecomp_vanishes(kind, params, m, s, at_s)
+               for at_s in (False, True)]
+    seen, tallies = set(), [0, 0, 0]
     n_leading = bad_zero = bad_rules = bad_exact = bad_weight = 0
-    for case in report.cases:
-        case_index, prod, v, leading = case
-        n_leading += leading
-        known = verdicts.get(id(v))
-        if known is None:
-            slot = _SLOT.get(type(v), 2)
-            known = verdicts[id(v)] = (
-                slot, _rule_needs(v) if slot == 1 else None, {})
-        slot, need, rests = known
-        if prod is None:
-            tally = None
-            tallies[slot] += 1
+    for row, cases in groupby(report.cases, key=lambda case: case.index[:2]):
+        i, j = row
+        if kind == "rationality" and i >= 1 and 0 <= j <= d + s - i:
+            span = range(d + s - i - j + 1)
+            ks_valid = range(span[-1] % step, span[-1] + 1, step)
+            chern = (_atom("chern_x", i), _atom("chern_x", j))
+        elif kind == "generators" and 0 <= j == dim_y - i:
+            span = ks_valid = range(j, j + step, step)
+            chern = (_atom("chern_y", i),)
         else:
-            atoms, _, prod_ctx, weight = prod
-            tally = recounts.get(id(atoms))
-            if tally is None:
-                tally = recounts[id(atoms)] = _recount(atoms)
-            tallies[slot] += tally[3]
-            if weight != tally[3]:
+            span = None
+        if not span or row in seen:
+            bad_weight += 1
+            continue
+        seen.add(row)
+        runs, last_run = [], None
+        for _, prod, v, leading, run, weight in cases:
+            slot = _SLOT.get(type(v), 2)
+            n_leading += leading
+            if run is not last_run:
+                cover = _COVERS.get(getattr(v, "reason", None), "valid")
+                last_run, last_ctx, weights = run, None, None
+                run_ok = bool(run) and 0 <= run[0] and run[-1] <= span[-1] and (
+                    len(run) == 1 or cover != "valid" or run.step == step)
+                if run_ok:
+                    runs.append([cover, run, [], ()])
+                    at_s = kind == "rationality" and span[-1] - s in run
+            if not run_ok:
                 bad_weight += 1
-            if prod_ctx is not ctx:
-                # the cases of one index share one context: a case that
-                # carries another has no premises to stand on
-                if case_index == index and prod_ctx != ctx:
-                    bad_rules += 1
-                    continue
-                ctx, chern, xdecomp = prod_ctx, prod_ctx.chern, None
-        index = case_index
-        if slot == 0:
-            if (v.reason not in ZERO_REASONS
-                    or not _check_zero(v.reason, index, tally, report, args)):
-                bad_zero += 1
-        elif slot == 1:
-            if prod is None or need is None:
-                bad_rules += 1
                 continue
-            if need[1]:
-                if xdecomp is None:
-                    # hashing the params themselves would cost more than
-                    # the check; the contexts keep them alive
-                    key = (ctx.kind, id(ctx.params), ctx.m, ctx.s,
-                           ctx.k == ctx.s)
-                    if key not in xdecomps:
-                        xdecomps[key] = _xdecomp_vanishes(
-                            ctx.kind, ctx.params, ctx.m, ctx.s, ctx.k == ctx.s)
-                    xdecomp = xdecomps[key]
-                if not xdecomp:
-                    bad_rules += 1
-                    continue
-            # the named atoms the product lacks must be in the context
-            rest = rests.get(id(atoms))
-            if rest is None:
-                rest = rests[id(atoms)] = tuple(
-                    a for a in need[0] if a not in atoms)
-            for a in rest:
-                if a not in chern:
-                    bad_rules += 1
-                    break
-        elif (type(v) is not ValExactly or not leading or v.value != 1
-              or not all(pid in PREMISES for pid in v.premises)):
-            bad_exact += 1
+            third_only = None
+            if prod is None:
+                recount = (len(span) - len(ks_valid) if cover == "invalid"
+                           else len(run))
+            else:
+                atoms, ctx = prod.atoms, prod.context
+                _, n_theta, n_second, n_third = _atom_tally(atoms)[0]
+                third_only = n_theta == n_second == 0 < n_third
+                if weights is None:
+                    weights, runs[-1][3] = _closed_run(r, p, run[0], run[-1])
+                runs[-1][2].append(_bucket(n_theta, n_second))
+                recount = weights[runs[-1][2][-1]]
+                if ctx is not last_ctx:
+                    # the cases of a run share a context, checked once
+                    l, last_ctx = ctx.l, ctx
+                    ctx_ok = l in run and (run[0] > 0 or len(run) == 1) and (
+                        ctx == (kind, params, m, s, r, i, j, span[-1] - l, l,
+                                chern) if kind == "rationality" else
+                        ctx == (kind, params, m, j, r, i, j, 0, j, chern))
+            tallies[slot] += recount
+            bad_weight += weight != recount
+            if prod is not None and not ctx_ok:
+                bad_rules += 1
+            elif slot == 0:
+                bad_zero += v.reason not in ZERO_REASONS or not _zero_holds(
+                    v.reason, row, run, span, third_only, report, args)
+            elif slot == 2:
+                bad_exact += (type(v) is not ValExactly or not leading
+                              or v.value != 1
+                              or not all(pid in PREMISES for pid in v.premises))
+            else:
+                need = _rule_needs(v) if prod is not None else None
+                # the atoms the rules name must be in the product or context
+                bad_rules += need is None or need[1] and not xdecomp[at_s] or any(
+                    a not in atoms and a not in chern for a in need[0])
+        bad_weight += not _row_tiled(span, ks_valid, runs)
+    n_rows = (d + s) * (d + s + 1) // 2 if kind == "rationality" else dim_y + 1
+    bad_weight += n_rows - len(seen)
     tallies = tuple(tallies)
     out.add("exactly one leading case", n_leading == 1)
     out.add("zero reasons justified", bad_zero == 0, f"{bad_zero} bad")

@@ -90,3 +90,37 @@ def test_one_unit_power_growth(p):
 def test_is_prime():
     assert [q for q in range(30) if arith.is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not arith.is_prime(True)
+
+
+def _trial_division(q):
+    if q < 2:
+        return False
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    """Trial division below 2^16, Miller-Rabin from there to 10^5."""
+    assert arith.TRIAL_DIVISION_BELOW < 10**5
+    assert all(arith.is_prime(q) == _trial_division(q) for q in range(10**5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine
+    # prime bases 2 .. 23
+    for q in (3215031751, 3825123056546413051):
+        assert not arith.is_prime(q)
+    assert arith.is_prime(2**61 - 1) and arith.is_prime(10**18 + 9)
+    assert not arith.is_prime((2**31 - 1) * (10**9 + 7))
+
+
+def test_is_prime_refuses_above_proved_range():
+    assert not arith.is_prime(arith.MAX_PRIME - 1)  # even
+    for q in (arith.MAX_PRIME, 2**89 - 1):
+        with pytest.raises(ValueError, match="p too large: primality is "
+                                             "decided only below"):
+            arith.is_prime(q)

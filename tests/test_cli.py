@@ -5,9 +5,11 @@ import io
 import json
 import os
 import pathlib
+import resource
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +398,55 @@ HOSTILE_ARGV = {
 def test_hostile_argv_subprocess(name):
     argv, code, line = HOSTILE_ARGV[name]
     proc = run_subprocess(*argv)
+    assert proc.returncode == code
+    assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
+
+
+def run_capped(seconds, *argv):
+    """Run the real CLI process under a 1 GiB address-space cap, failing the
+    test if it takes over ``seconds`` or prints a traceback."""
+    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "rostcalc.cli", *argv],
+                          capture_output=True, text=True, timeout=seconds,
+                          env=env, preexec_fn=cap)
+    assert time.perf_counter() - start < seconds
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
+# name -> (seconds, argv, exit code, a line of stdout or of stderr)
+SLOW_ARGV = {
+    "rationality audit at (5,3) s=124": (
+        3, ["audit", "-p", "5", "-n", "3", "--rationality", "-m", "0", "-s",
+            "124"], 0, "cases: 1321209811 (zero=2455969, "
+                       "at-least=1318753841, exact=1)"),
+    "rationality audit at (11,2) s=120": (
+        3, ["audit", "-p", "11", "-n", "2", "--rationality", "-m", "0", "-s",
+            "120"], 0, "cases: 4309930229 (zero=2315605, "
+                       "at-least=4307614623, exact=1)"),
+    "params at p = 2^61 - 1": (
+        1, ["params", "-p", str(2**61 - 1), "-n", "1"], 0,
+        f"d = {2**61 - 2}"),
+    "params at p = 2^89 - 1": (
+        1, ["params", "-p", str(2**89 - 1), "-n", "1"], 2,
+        "p too large: primality is decided only below "
+        "3317044064679887385961981"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_ARGV))
+def test_slow_argv_capped_subprocess(name):
+    """Inputs inside the bounds that used to run for minutes end in time
+    under a memory cap."""
+    seconds, argv, code, line = SLOW_ARGV[name]
+    proc = run_capped(seconds, *argv)
     assert proc.returncode == code
     assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
 

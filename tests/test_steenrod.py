@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rostcalc
+from rostcalc import steenrod
+from rostcalc.arith import multinomial
 from rostcalc.splitring import make_params
 from rostcalc.steenrod import (
     MAX_AUDIT_DIM,
@@ -35,6 +37,7 @@ from rostcalc.steenrod import (
     steen_index_valid,
     substitute_dcmp,
     valuation_bound,
+    _closed_run,
     _has_composition,
 )
 
@@ -91,34 +94,60 @@ def test_cartan_multiplicities_count_ordered_compositions(p, r, data):
         assert all(steen_index_valid(a, p) for a in parts)
 
 
-# --- sigma decomposition ----------------------------------------------------------
+# --- sigma decomposition: the class-level oracle and the buckets ----------------
+
+
+def _class_products(expansion, context=None):
+    """The class-level oracle: one product per count class (a thetas, b
+    seconds, c thirds on the q positive parts) of every composition, theta
+    on the first a parts, second on the next b and third on the last c,
+    weighted by the multinomial(a, b, c) terms it stands for."""
+    products = []
+    for parts, multiplicity in expansion:
+        positive = [v for v in parts if v]
+        sigmas = (SteenAtom("sigma"),) * (len(parts) - len(positive))
+        q = len(positive)
+        for a in range(q, -1, -1):
+            for b in range(q - a, -1, -1):
+                c = q - a - b
+                kinds = ("theta",) * a + ("second",) * b + ("third",) * c
+                atoms = sigmas + tuple(SteenAtom(kind, v)
+                                       for kind, v in zip(kinds, positive))
+                products.append(SteenProduct(
+                    atoms, multiplicity * (-1) ** c, context,
+                    multinomial((a, b, c))))
+    return products
 
 
 def test_substitute_single_positive_part():
-    prods = substitute_dcmp([((4,), 1)])
+    prods = _class_products([((4,), 1)])
     assert len(prods) == 3
     kinds = [(p.atoms[0].kind, p.scalar) for p in prods]
     assert kinds == [("theta", 1), ("second", 1), ("third", -1)]
     assert all(p.atoms[0].index == 4 for p in prods)
+    # one positive part: every class is a bucket of its own
+    assert substitute_dcmp([((4,), 1)]) == prods
 
 
 def test_substitute_keeps_sigma_factors():
-    prods = substitute_dcmp([((0, 4), 2)])
-    assert len(prods) == 3
-    for prod in prods:
-        assert prod.classify()["sigma"] == 1
-        assert abs(prod.scalar) == 2
+    for prods in (_class_products([((0, 4), 2)]),
+                  substitute_dcmp([((0, 4), 2)])):
+        assert len(prods) == 3
+        for prod in prods:
+            assert prod.classify()["sigma"] == 1
+            assert abs(prod.scalar) == 2
 
 
 def test_substitute_all_zero_unchanged():
-    prods = substitute_dcmp([((0, 0, 0), 1)])
-    assert len(prods) == 1
-    assert prods[0].atoms == (SteenAtom("sigma"),) * 3
-    assert prods[0].scalar == 1
+    for prods in (_class_products([((0, 0, 0), 1)]),
+                  substitute_dcmp([((0, 0, 0), 1)])):
+        assert len(prods) == 1
+        assert prods[0].atoms == (SteenAtom("sigma"),) * 3
+        assert prods[0].scalar == 1
 
 
 def test_substitute_two_positive_parts_signs():
-    prods = substitute_dcmp([((2, 2), 1)])
+    prods = _class_products([((2, 2), 1)])
     # classes (a, b, c) with a + b + c = 2, standing for 3^2 terms
     assert len(prods) == 6
     assert sum(p.weight for p in prods) == 9
@@ -127,12 +156,32 @@ def test_substitute_two_positive_parts_signs():
     assert sum(p.weight for p in prods if p.scalar == 1) == 5
 
 
+def test_substitute_dcmp_one_product_per_bucket():
+    """Two positive parts fill all four buckets: 9 - 4 - 4 = 1 term with
+    two thetas, 4 with one, 3 with no theta but a second, 1 of thirds only;
+    each bucket's product is its theta-heaviest class."""
+    prods = substitute_dcmp([((2, 2), 1)])
+    assert [(p.classify()["theta"], p.classify()["second"],
+             p.classify()["third"], p.scalar, p.weight) for p in prods] == [
+        (2, 0, 0, 1, 1), (1, 1, 0, 1, 4), (0, 2, 0, 1, 3), (0, 0, 2, 1, 1)]
+    assert substitute_dcmp([]) == []
+
+
+def _bucket_index(prod):
+    """0: two or more thetas, 1: one theta, 2: no theta but a second,
+    3: thirds only."""
+    c = prod.classify()
+    return (0 if c["theta"] >= 2 else 1 if c["theta"] else
+            2 if c["second"] else 3)
+
+
 @given(p=st.sampled_from((2, 3, 5)), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_classify_consistent_with_multiset(p, data):
     r = data.draw(st.integers(1, 3))
     l = data.draw(st.integers(0, 3 * (p - 1)))
-    for prod in substitute_dcmp(cartan_expand(r, l, p)):
+    expansion = cartan_expand(r, l, p)
+    for prod in _class_products(expansion) + substitute_dcmp(expansion):
         counts = prod.classify()
         assert sum(counts.values()) == len(prod.atoms)
         assert prod.scalar != 0
@@ -175,16 +224,37 @@ def test_classes_partition_terms(p, data):
         c = prod.classify()
         return _composition(prod), c["theta"], c["second"], c["third"]
 
-    terms, classes = Counter(), Counter()
+    terms, classes, buckets = Counter(), Counter(), Counter()
     signs = {}
     for prod in _substitute_terms(expansion):
         terms[key(prod)] += 1
         signs[key(prod)] = prod.scalar
-    for prod in substitute_dcmp(expansion):
+        buckets[_bucket_index(prod)] += 1
+    for prod in _class_products(expansion):
         assert classes[key(prod)] == 0
         classes[key(prod)] += prod.weight
         assert prod.scalar == signs[key(prod)]
     assert classes == terms
+    # the bucket products partition the terms by bucket, and each is a
+    # term of the expansion with its own sign
+    by_bucket = Counter()
+    for prod in substitute_dcmp(expansion):
+        assert by_bucket[_bucket_index(prod)] == 0
+        by_bucket[_bucket_index(prod)] += prod.weight
+        assert prod.scalar == signs[key(prod)]
+    assert by_bucket == buckets
+
+
+def test_closed_form_bucket_weights_match_cartan_expand():
+    """replay's closed-form bucket weights are the term counts of the
+    engine's own expansion."""
+    for p in (2, 3, 5, 7):
+        for r in range(1, p):
+            for l in range(6 * (p - 1) + 1):
+                want = [0, 0, 0, 0]
+                for prod in _substitute_terms(cartan_expand(r, l, p)):
+                    want[_bucket_index(prod)] += 1
+                assert _closed_run(r, p, l, l)[0] == tuple(want), (p, r, l)
 
 
 # --- valuation_bound on hand-built products ------------------------------------
@@ -274,11 +344,60 @@ def test_rationality_m_out_of_range():
         audit_rationality(make_params(3, 2), -1, 2)
 
 
+# --- the class-level oracle audit ------------------------------------------------
+
+
+def _class_cases(report):
+    """The class-level oracle of a report's audit: the cases the audits
+    built before rows and buckets, one per index (i, j, k, l) and count
+    class, each covering its own l."""
+    params, (m, arg) = report.params, [v for _, v in report.args]
+    p, d = params.p, params.d
+    cases = []
+
+    def expand(index, ctx, leading):
+        single = range(ctx.l, ctx.l + 1)
+        expansion = cartan_expand(ctx.r, ctx.l, p)
+        if not expansion:
+            cases.append(AuditCase(index, None, Zero("cartan-empty"), False,
+                                   single, 1))
+        for prod in _class_products(expansion, ctx):
+            cases.append(AuditCase(index, prod, valuation_bound(prod),
+                                   leading, single, prod.weight))
+
+    if report.kind == "generators":
+        dim_y = p ** m - 1
+        for j in range(dim_y + 1):
+            i = dim_y - j
+            expand((i, j), PairingContext(
+                "generators", params, m, j, arg, i, j, 0, j,
+                (SteenAtom("chern_y", i),)), j == 0)
+        return cases
+    total = d + arg
+    for i in range(1, total + 1):
+        for j in range(total - i + 1):
+            for l in range(total - i - j + 1):
+                k = total - i - j - l
+                if i > d or j > d:
+                    zero = Zero("chern-index-overflow")
+                elif not steen_index_valid(k, p):
+                    zero = Zero("steenrod-index-invalid")
+                else:
+                    expand((i, j, k, l), PairingContext(
+                        "rationality", params, m, arg, p - 1, i, j, k, l,
+                        (SteenAtom("chern_x", i), SteenAtom("chern_x", j))),
+                        l == 0 and i == d and j == 0)
+                    continue
+                cases.append(AuditCase((i, j, k, l), None, zero, False,
+                                       range(l, l + 1), 1))
+    return cases
+
+
 def test_rationality_case_spot_checks():
+    """Single indices of the class-level oracle."""
     pr = make_params(3, 2)  # b = 4, d = 8
-    rep = audit_rationality(pr, 2, 2)
     by_index = {}
-    for case in rep.cases:
+    for case in _class_cases(audit_rationality(pr, 2, 2)):
         by_index.setdefault(case.index, []).append(case)
 
     # l = 0, valid k, i not a multiple of b: exact zero via the rho pairing
@@ -304,6 +423,51 @@ def test_rationality_case_spot_checks():
     # an odd budget on the sigma power has no valid Cartan composition
     [case] = by_index[(1, 0, 8, 1)]
     assert case.verdict == Zero("cartan-empty")
+
+
+def test_rationality_row_spot_checks():
+    """The runs and cases of single rows of a row-level report."""
+    pr = make_params(3, 2)  # b = 4, d = 8
+    by_row = {}
+    for case in audit_rationality(pr, 2, 2).cases:
+        by_row.setdefault(case.index[:2], []).append(case)
+
+    def summary(row):
+        return [(c.verdict.reason if isinstance(c.verdict, Zero) else
+                 [r.rule for r in c.verdict.rules]
+                 if isinstance(c.verdict, ValAtLeast) else "exact",
+                 c.range, c.weight) for c in by_row[row]]
+
+    # i > d: one overflow zero for the whole row, budget 10 - 9 - 0 = 1
+    assert summary((9, 0)) == [("chern-index-overflow", range(2), 2)]
+    # budget 9: the l with even k are the odd l, and S^l is empty there
+    assert summary((1, 0)) == [("steenrod-index-invalid", range(10), 5),
+                               ("cartan-empty", range(1, 10, 2), 5)]
+    # budget 8 (k = s = 2 at l = 6): l = 0 alone, l = 2, 4 with the
+    # x-decomposition, l = 6 at k = s, l = 8; the odd l are invalid.  The
+    # buckets of S^l over 2 factors are (0, 1, 1, 1) terms at l = 2,
+    # (1, 5, 4, 2) at l = 4 and 6, and (2, 9, 7, 3) at l = 8.
+    theta_x = ["theta-carries-p", "x-decomp-vanishes"]
+    pair_x = ["rational-pairing", "x-decomp-vanishes"]
+    thetas = ["theta-carries-p", "theta-carries-p"]
+    assert summary((2, 0)) == [
+        ("steenrod-index-invalid", range(9), 4),
+        ("rho-pairing-zero", range(1), 1),
+        (thetas, range(2, 6, 2), 1),
+        (theta_x, range(2, 6, 2), 6),
+        (pair_x, range(2, 6, 2), 5),
+        (pair_x, range(2, 6, 2), 3),
+        (thetas, range(6, 8, 2), 1),
+        (["theta-carries-p", "rational-pairing"], range(6, 8, 2), 5),
+        (["split-pairing"], range(6, 8, 2), 4),
+        ("proj1-sigma-power-zero", range(6, 8, 2), 2),
+        (thetas, range(8, 10, 2), 2),
+        (theta_x, range(8, 10, 2), 9),
+        (pair_x, range(8, 10, 2), 7),
+        (pair_x, range(8, 10, 2), 3)]
+    # the ``theta-theta`` bucket of the run l = 2, 4 is empty at l = 2 (one
+    # positive part), so its product comes from l = 4
+    assert by_row[(2, 0)][2].index == (2, 0, 4, 4)
 
 
 def test_rationality_arguments_grid():
@@ -422,7 +586,7 @@ def test_audit_size_bound():
             audit(big, *args)
 
 
-# --- class-level audits against the term-level oracle -------------------------
+# --- the row-level audits against the class- and term-level oracles ----------
 
 
 def _verdict_key(v):
@@ -431,13 +595,13 @@ def _verdict_key(v):
             getattr(v, "reason", None))
 
 
-def _tallies_by_index(report, terms):
-    """Per case index, weighted verdict tallies of a report, or (terms)
-    the tallies of expanding each index's Cartan compositions term by
-    term and classifying every term."""
+def _tallies_by_index(cases, p, terms):
+    """Per case index, weighted verdict tallies of class-level cases, or
+    (terms) the tallies of expanding each index's Cartan compositions term
+    by term and classifying every term."""
     out = {}
     contexts = {}
-    for case in report.cases:
+    for case in cases:
         tally = out.setdefault(case.index, Counter())
         if case.product is None:
             tally[_verdict_key(case.verdict)] += 1
@@ -445,14 +609,25 @@ def _tallies_by_index(report, terms):
             contexts[case.index] = case.product.context
         else:
             tally[_verdict_key(case.verdict)] += case.weight
-    p = report.params.p
     for index, ctx in contexts.items():
         for prod in _substitute_terms(cartan_expand(ctx.r, ctx.l, p), ctx):
             out[index][_verdict_key(valuation_bound(prod))] += 1
     return out
 
 
+def _row_tallies(cases):
+    """Per row (i, j), the weighted (zero, at-least, exact) tallies."""
+    out = {}
+    for case in cases:
+        slot = (0 if isinstance(case.verdict, Zero) else
+                1 if isinstance(case.verdict, ValAtLeast) else 2)
+        out.setdefault(case.index[:2], [0, 0, 0])[slot] += case.weight
+    return out
+
+
 def _oracle_audits():
+    """Full (2,2), (2,3) and (3,2) grids, and sampled (5,2) and (3,3)
+    audits."""
     for p, n in ((2, 2), (2, 3), (3, 2)):
         pr = make_params(p, n)
         for m, s in rationality_arguments(pr):
@@ -460,10 +635,14 @@ def _oracle_audits():
         for m, r in generators_arguments(pr):
             yield audit_generators(pr, m, r)
     pr = make_params(5, 2)
-    for m, s in ((0, 0), (1, 8)):
+    for m, s in ((0, 0), (1, 8), (4, 8)):
         yield audit_rationality(pr, m, s)
     for m, r in generators_arguments(pr):
         yield audit_generators(pr, m, r)
+    pr = make_params(3, 3)
+    for m, s in ((0, 0), (9, 18), (24, 24)):
+        yield audit_rationality(pr, m, s)
+    yield audit_generators(pr, 2, 2)
 
 
 def _weighted_counts(report):
@@ -477,13 +656,27 @@ def _weighted_counts(report):
 
 
 def test_class_tallies_match_term_oracle():
+    """The class-level oracle classifies as the term-level oracle."""
+    for report in _oracle_audits():
+        if report.params.d > 24:
+            continue
+        classes = _class_cases(report)
+        p = report.params.p
+        assert (_tallies_by_index(classes, p, terms=False)
+                == _tallies_by_index(classes, p, terms=True)), report.title
+
+
+def test_row_tallies_match_class_oracle():
+    """Row by row and slot by slot, the row-level audit weighs its runs as
+    the class-level oracle weighs its classes."""
     grouped = 0
     for report in _oracle_audits():
-        want = _tallies_by_index(report, terms=True)
-        assert _tallies_by_index(report, terms=False) == want, report.title
+        assert _row_tallies(report.cases) == _row_tallies(
+            _class_cases(report)), report.title
         # the tallies the audit carries are the weighted recount
         assert report.counts() == _weighted_counts(report), report.title
-        grouped += sum(c.weight > 1 for c in report.cases)
+        assert replay(report).passed, report.title
+        grouped += sum(len(c.range) > 1 for c in report.cases)
     assert grouped > 1000
 
 
@@ -501,12 +694,11 @@ def test_records_are_real_instances():
                 assert type(rec) is cls
                 assert rec == cls(*rec)
                 assert tuple(getattr(rec, f) for f in cls._fields) == rec
-            if case.product is not None:
-                bumped = case._replace(
-                    product=case.product._replace(weight=case.weight + 1))
-                assert type(bumped.product) is SteenProduct
-                assert bumped.weight == case.weight + 1
-                assert bumped.product.context is case.product.context
+            bumped = case._replace(weight=case.weight + 1)
+            assert type(bumped) is AuditCase
+            assert bumped.weight == case.weight + 1
+            assert bumped.product is case.product
+            assert bumped.range is case.range
 
 
 # --- report plumbing ----------------------------------------------------------------
@@ -563,9 +755,8 @@ def test_failing_case_named_in_conclusion(monkeypatch):
 def test_replay_recounts_class_weights():
     rep = audit_rationality(make_params(3, 2), 2, 2)
     assert sum(c.weight > 1 for c in rep.cases) > 0
-    cases = tuple(
-        c._replace(product=c.product._replace(weight=c.weight + 1))
-        if c.weight > 1 else c for c in rep.cases)
+    cases = tuple(c._replace(weight=c.weight + 1) if c.weight > 1 else c
+                  for c in rep.cases)
     check = replay(replace(rep, cases=cases))
     assert [name for name, _ in check.failures()] == ["class weights recounted"]
 
@@ -588,14 +779,25 @@ def test_composition_closed_form_matches_cartan_expand():
                     cartan_expand(r, l, p)), (p, r, l)
 
 
+@pytest.fixture
+def fresh_tables():
+    """Empty the audit's caches built from cartan_expand before and after
+    the test, so that a patched expansion is the one they read."""
+    caches = (steenrod._weight_sums, steenrod._row_plan)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("audit,args", [(audit_rationality, (2, 2)),
                                         (audit_generators, (1, 2))])
-def test_replay_rejects_dropped_compositions(monkeypatch, audit, args):
+def test_replay_rejects_dropped_compositions(monkeypatch, fresh_tables,
+                                            audit, args):
     """A Cartan expansion that loses the compositions of S^2 fools the
     audit into cartan-empty zeros; replay decides that zero in closed
     form, without the expansion."""
-    from rostcalc import steenrod
-
     honest = steenrod._cartan_expand_cached
     monkeypatch.setattr(steenrod, "_cartan_expand_cached",
                         lambda r, l, p: () if l == 2 else honest(r, l, p))
@@ -649,8 +851,9 @@ def _other_context(case):
 
 
 def _later_in_index(cases):
-    """Cases that follow a case of the same index."""
-    return {id(b) for a, b in zip(cases, cases[1:]) if a.index == b.index}
+    """Cases that follow a case of the same row (i, j)."""
+    return {id(b) for a, b in zip(cases, cases[1:])
+            if a.index[:2] == b.index[:2]}
 
 
 # name -> (which case to perturb, how)
@@ -688,6 +891,111 @@ def test_replay_rejects_perturbed_rule(name):
     cases[at] = perturb(cases[at])
     check = replay(replace(rep, cases=tuple(cases)))
     assert check.failures() == [("rule premises satisfied", "1 bad")]
+
+
+def _retallied(rep, cases):
+    """The report with these cases and the tallies of their weights."""
+    tallies = [0, 0, 0]
+    for case in cases:
+        tallies[0 if isinstance(case.verdict, Zero) else
+                1 if isinstance(case.verdict, ValAtLeast) else 2] += case.weight
+    return replace(rep, cases=tuple(cases), tallies=tuple(tallies))
+
+
+def _runs_of(cases):
+    """(start, stop) positions of each run of consecutive cases that share
+    a row and a range."""
+    out, start = [], 0
+    for n in range(1, len(cases) + 1):
+        if n == len(cases) or (cases[n].index[:2], cases[n].range) != (
+                cases[start].index[:2], cases[start].range):
+            out.append((start, n))
+            start = n
+    return out
+
+
+def _widen_over_k_eq_s(rep):
+    """An x-decomposition run widened over the k = s run after it, which
+    is dropped, with every weight and tally recounted to match."""
+    cases = list(rep.cases)
+    step = rep.params.p - 1
+    runs = _runs_of(cases)
+    for (a, b), (c, e) in zip(runs, runs[1:]):
+        ctx = _ctx(cases[c])
+        if (all("x-decomp-vanishes" not in _rules(case)
+                for case in cases[a:b]) or ctx is None
+                or ctx.k != ctx.s or cases[a].index[:2] != ctx[5:7]):
+            continue
+        wide = range(cases[a].range.start, cases[c].range.stop, step)
+        weights, _ = _closed_run(step, rep.params.p, wide[0], wide[-1])
+        buckets = [_bucket_index(case.product) for case in cases[a:b]]
+        if buckets == [bucket for bucket in range(4) if weights[bucket]]:
+            widened = [case._replace(range=wide, weight=weights[bucket])
+                       for case, bucket in zip(cases[a:b], buckets)]
+            return _retallied(rep, cases[:a] + widened + cases[e:])
+
+
+def _bump_one_weight(rep):
+    """One case's weight off by one, the tallies as the audit left them."""
+    at = next(n for n, c in enumerate(rep.cases) if c.weight > 1)
+    cases = list(rep.cases)
+    cases[at] = cases[at]._replace(weight=cases[at].weight + 1)
+    return replace(rep, cases=tuple(cases))
+
+
+def _row_as_overflow(rep):
+    """The cases of a row within d, leading row aside, replaced by one
+    Chern-overflow zero over the whole row."""
+    cases = list(rep.cases)
+    for a, b in _runs_of(cases):
+        i, j = cases[a].index[:2]
+        if cases[a].product is not None and not cases[a].leading:
+            budget = rep.params.d + dict(rep.args)["s"] - i - j
+            row = [n for n, c in enumerate(cases) if c.index[:2] == (i, j)]
+            zero = AuditCase((i, j, budget, 0), None,
+                             Zero("chern-index-overflow"), False,
+                             range(budget + 1), budget + 1)
+            return _retallied(rep, cases[:row[0]] + [zero]
+                              + cases[row[-1] + 1:])
+
+
+def _drop_a_run(rep):
+    """The cases of one run of l > 0 left out, the tallies recounted."""
+    cases = list(rep.cases)
+    a, b = next((a, b) for a, b in _runs_of(cases)
+                if cases[a].product is not None and cases[a].range[0] > 0)
+    return _retallied(rep, cases[:a] + cases[b:])
+
+
+def _repeat_l0(rep):
+    """A copy of a row's l = 0 case (leading row aside) as a run of its
+    own, the tallies recounted."""
+    cases = list(rep.cases)
+    at = next(n for n, c in enumerate(cases) if c.product is not None
+              and c.range[0] == 0 and not c.leading)
+    copy = cases[at]._replace(range=range(0, 1))
+    return _retallied(rep, cases[:at + 1] + [copy] + cases[at + 1:])
+
+
+# name -> (how to perturb a report, the check line it fails)
+ROW_PERTURBATIONS = {
+    "run widened over k = s": (_widen_over_k_eq_s, "rule premises satisfied"),
+    "weight off by one": (_bump_one_weight, "class weights recounted"),
+    "overflow zero in a row within d": (_row_as_overflow,
+                                        "zero reasons justified"),
+    "gap in a row": (_drop_a_run, "class weights recounted"),
+    "overlap in a row": (_repeat_l0, "class weights recounted"),
+}
+
+
+@pytest.mark.parametrize("symbol,args", [((3, 2), (2, 2)), ((2, 3), (3, 5))])
+@pytest.mark.parametrize("name", sorted(ROW_PERTURBATIONS))
+def test_replay_rejects_perturbed_row(name, symbol, args):
+    perturb, line = ROW_PERTURBATIONS[name]
+    rep = audit_rationality(make_params(*symbol), *args)
+    assert replay(rep).passed
+    check = replay(perturb(rep))
+    assert [name for name, _ in check.failures()] == [line]
 
 
 # --- the sweep script ---------------------------------------------------------------
