@@ -361,8 +361,8 @@ def _weight_sums(r, p, top):
 # --- the rule engine -----------------------------------------------------------
 
 
-# Verdicts are shared: one Zero per reason and one ValAtLeast(2) per tuple
-# of rule applications.  The atoms name
+# Verdicts are shared: one Zero per reason, one RuleApp per (rule, atoms)
+# and one ValAtLeast(2) per tuple of rule applications.  The atoms name
 # indices below 2 * MAX_AUDIT_DIM, so the caches stay small.
 _ZERO = {reason: Zero(reason) for reason in ZERO_REASONS}
 _EXACT_RAT = ValExactly(1, ("top-chern-degree", "unit-pairing-degree"))
@@ -371,9 +371,14 @@ _XDECOMP = ("x-decomp-vanishes", ())
 
 
 @lru_cache(maxsize=None)
+def _rule_app(rule, atoms):
+    return RuleApp(rule, atoms)
+
+
+@lru_cache(maxsize=None)
 def _at_least(*apps):
     """The ValAtLeast(2) certified by apps, each a (rule, atoms) pair."""
-    return ValAtLeast(2, tuple(RuleApp(rule, atoms) for rule, atoms in apps))
+    return ValAtLeast(2, tuple(_rule_app(rule, atoms) for rule, atoms in apps))
 
 
 def valuation_bound(prod):
@@ -477,7 +482,10 @@ class AuditReport:
 
     @property
     def leading(self):
-        return next((case for case in self.cases if case.leading), None)
+        for case in self.cases:
+            if case.leading:
+                return case
+        return None
 
     def counts(self):
         """Verdict tallies over expansion terms (case weights summed)."""
@@ -493,6 +501,19 @@ class AuditReport:
         return lines
 
 
+def _grade(verdict, leading):
+    """(tally slot, ok) of a case: its verdict's slot, and whether the
+    verdict is one a passing audit may hold."""
+    slot = _SLOT.get(type(verdict), 2)
+    if leading:
+        ok = type(verdict) is ValExactly and verdict.value == 1
+    elif slot == 0:
+        ok = verdict.reason in ZERO_REASONS
+    else:
+        ok = slot == 1 and verdict.value >= 2
+    return slot, ok
+
+
 def _conclude(cases, support, pass_text, fail_text):
     """(passed, conclusion, tallies) of an audit, in one pass over its
     cases: the weighted verdict tallies, and what first keeps the audit
@@ -503,13 +524,10 @@ def _conclude(cases, support, pass_text, fail_text):
     first = None
     for case in cases:
         _, _, verdict, leading, _, weight = case
-        slot = _SLOT.get(type(verdict), 2)
-        tallies[slot] += weight
+        slot, ok = _grade(verdict, leading)
         n_leading += leading
-        if first is None and not (
-                type(verdict) is ValExactly and verdict.value == 1 if leading
-                else verdict.reason in ZERO_REASONS if slot == 0
-                else slot == 1 and verdict.value >= 2):
+        tallies[slot] += weight
+        if not ok and first is None:
             first = case
     if n_leading != 1:
         offender = f"{n_leading} leading cases, expected 1"
@@ -782,12 +800,11 @@ def _zero_holds(reason, row, run, span, third_only, report, args):
         # the l of a run agree modulo its step, p - 1
         r = p - 1 if report.kind == "rationality" else args["r"]
         return run[0] > 0 and not _has_composition(r, run[0], p)
-    if reason == "proj1-sigma-power-zero":
-        l_s = span[-1] - args.get("s", 0)
-        return third_only is True and (report.kind != "rationality" or (
-            j == 0 and run == range(l_s, l_s + 1)))
     if report.kind != "rationality":
-        return False
+        return reason == "proj1-sigma-power-zero" and third_only is True
+    if reason == "proj1-sigma-power-zero":
+        l_s = span[-1] - args["s"]
+        return third_only is True and j == 0 and run == range(l_s, l_s + 1)
     if reason == "chern-index-overflow":
         return i > params.d or j > params.d
     if reason == "steenrod-index-invalid":
@@ -908,7 +925,9 @@ def replay(report):
                 run_ok = bool(run) and 0 <= run[0] and run[-1] <= span[-1] and (
                     len(run) == 1 or cover != "valid" or run.step == step)
                 if run_ok:
-                    runs.append([cover, run, [], ()])
+                    buckets = []
+                    entry = [cover, run, buckets, ()]
+                    runs.append(entry)
                     at_s = kind == "rationality" and span[-1] - s in run
             if not run_ok:
                 bad_weight += 1
@@ -922,9 +941,10 @@ def replay(report):
                 _, n_theta, n_second, n_third = _atom_tally(atoms)[0]
                 third_only = n_theta == n_second == 0 < n_third
                 if weights is None:
-                    weights, runs[-1][3] = _closed_run(r, p, run[0], run[-1])
-                runs[-1][2].append(_bucket(n_theta, n_second))
-                recount = weights[runs[-1][2][-1]]
+                    weights, entry[3] = _closed_run(r, p, run[0], run[-1])
+                bucket = _bucket(n_theta, n_second)
+                buckets.append(bucket)
+                recount = weights[bucket]
                 if ctx is not last_ctx:
                     # the cases of a run share a context, checked once
                     l, last_ctx = ctx.l, ctx
