@@ -742,10 +742,9 @@ def audit_generators(params, m, r):
         i, run = dim_y - j, range(j, j + 1)
         ctx = PairingContext("generators", params, m, j, r, i, j, 0, j,
                              (_atom("chern_y", i),))
-        for rep in [prod for prod in tables[j] if prod] or [
-                _ZERO["cartan-empty"]]:
-            cases.append(_case((i, j), rep, ctx, run,
-                               getattr(rep, "weight", 1), j == 0))
+        for rep, weight in [(prod, prod.weight) for prod in tables[j]
+                            if prod] or [(_ZERO["cartan-empty"], 1)]:
+            cases.append(_case((i, j), rep, ctx, run, weight, j == 0))
 
     ok, conclusion, tallies = _conclude(
         cases, support,
