@@ -781,14 +781,6 @@ def _closed_run(r, p, lo, last):
                                  if weights[bucket])
 
 
-def _has_composition(r, l, p):
-    """Whether S^l has a Cartan composition over an r-fold product, in
-    closed form and without cartan_expand: its parts are multiples of p-1
-    summing to l, so one exists iff (p-1) divides l and, when l > 0,
-    there is at least one factor."""
-    return l % (p - 1) == 0 and (r >= 1 or l == 0)
-
-
 def _zero_holds(reason, row, run, span, third_only, report, args):
     """Whether a Zero(reason) verdict holds at every l of ``run`` in the row
     ``row`` of l values ``span``; ``third_only`` is whether the case's
@@ -796,9 +788,9 @@ def _zero_holds(reason, row, run, span, third_only, report, args):
     params, (i, j) = report.params, row
     p = params.p
     if reason == "cartan-empty":
-        # the l of a run agree modulo its step, p - 1
+        # no l of the run has a term, so none has a composition
         r = p - 1 if report.kind == "rationality" else args["r"]
-        return run[0] > 0 and not _has_composition(r, run[0], p)
+        return not _closed_run(r, p, run[0], run[-1])[1]
     if report.kind != "rationality":
         return reason == "proj1-sigma-power-zero" and third_only is True
     if reason == "proj1-sigma-power-zero":
