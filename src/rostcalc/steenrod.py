@@ -325,7 +325,8 @@ def substitute_dcmp(expansion, context=None):
         for bucket, w in enumerate(_bucket_split(len(positive))):
             weights[bucket] += w
             if w and reps[bucket] is None:
-                reps[bucket] = len(parts) - len(positive), positive, multiplicity
+                reps[bucket] = (len(parts) - len(positive), positive,
+                                multiplicity)
     out = []
     for bucket, rep in enumerate(reps):
         if rep is not None:
@@ -382,9 +383,9 @@ def _at_least(*apps):
 
 
 def valuation_bound(prod):
-    """Verdict for one expansion term, or for every term of its count
-    class, strongest first: structural zeros, then valuation rules with
-    their trace."""
+    """Verdict for one expansion term, or for every term of its bucket,
+    strongest first: structural zeros, then valuation rules with their
+    trace."""
     ctx = prod.context
     if ctx is None:
         raise ValueError("cannot audit: product has no pairing context")
@@ -912,9 +913,10 @@ def replay(report):
             n_leading += leading
             if run is not last_run:
                 cover = _COVERS.get(getattr(v, "reason", None), "valid")
-                last_run, last_ctx, weights = run, None, None
-                run_ok = bool(run) and 0 <= run[0] and run[-1] <= span[-1] and (
-                    len(run) == 1 or cover != "valid" or run.step == step)
+                last_run, last_ctx, weights, ctx_ok = run, None, None, False
+                run_ok = (bool(run) and 0 <= run[0] and run[-1] <= span[-1]
+                          and (len(run) == 1 or cover != "valid"
+                               or run.step == step))
                 if run_ok:
                     buckets = []
                     entry = [cover, run, buckets, ()]
@@ -952,13 +954,14 @@ def replay(report):
                     v.reason, row, run, span, third_only, report, args)
             elif slot == 2:
                 bad_exact += (type(v) is not ValExactly or not leading
-                              or v.value != 1
-                              or not all(pid in PREMISES for pid in v.premises))
+                              or v.value != 1 or not all(
+                                  pid in PREMISES for pid in v.premises))
             else:
                 need = _rule_needs(v) if prod is not None else None
                 # the atoms the rules name must be in the product or context
-                bad_rules += need is None or need[1] and not xdecomp[at_s] or any(
-                    a not in atoms and a not in chern for a in need[0])
+                bad_rules += (need is None or need[1] and not xdecomp[at_s]
+                              or any(a not in atoms and a not in chern
+                                     for a in need[0]))
         bad_weight += not _row_tiled(span, ks_valid, runs)
     n_rows = (d + s) * (d + s + 1) // 2 if kind == "rationality" else dim_y + 1
     bad_weight += n_rows - len(seen)
