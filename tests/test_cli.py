@@ -477,6 +477,25 @@ def test_eval_power_at_the_bound(capsys):
     assert code == 2 and "power too large" in err
 
 
+# 3^5000 and 7^3500 have 7,925 and 9,826 bits, inside the bound; their
+# product, the common denominator of a value holding both, has 17,751
+_A, _B = 3 ** 5000, 7 ** 3500
+
+
+@pytest.mark.parametrize("expr,want,size", [
+    (f"1/{_A} * E(0,0) + 1/{_B} * E(0,1)", f"1/{_A}*E(0,0) + 1/{_B}*E(0,1)\n",
+     5366),
+    (f"tuple(1/{_A} * E(0,1) + 1/{_B} * E(1,0))", f"(1/{_A}, 1/{_B})\n", 5353),
+])
+def test_eval_bound_is_per_coefficient(capsys, expr, want, size):
+    """The size bound reads each coefficient in lowest terms, not the
+    common denominator of the value."""
+    code, out, _ = run(capsys, "eval", "-p", "2", "-n", "1", expr)
+    assert (code, len(out.encode())) == (0, size)
+    assert out == want
+    assert (_A * _B).bit_length() > 10_000
+
+
 def test_eval_leading_minus_after_double_dash(capsys):
     code, out, _ = run(capsys, "eval", "-p", "3", "-n", "2", "--", "-(sigma)")
     assert (code, out) == (0, "-1*E(0,1) + E(1,0)\n")
