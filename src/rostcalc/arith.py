@@ -1,10 +1,10 @@
 """Exact arithmetic in the integers localized at a prime p.
 
-Values are plain ``fractions.Fraction`` objects; a value lies in Z_(p)
-exactly when its denominator is coprime to p.
-``Fraction`` already keeps the canonical form (reduced, positive
-denominator), so normalization is free; the p-coprimality of denominators
-is checked at the boundary of each operation that needs it.
+A scalar is a ``fractions.Fraction``; it lies in Z_(p) exactly when its
+denominator is coprime to p, which is checked at the boundary of each
+operation that needs it.  A vector of scalars (``SparseVec``,
+``EndTuple``) is stored as integer numerators over one positive
+denominator in lowest terms, the form ``lowest_terms`` gives.
 """
 
 from __future__ import annotations
@@ -13,6 +13,19 @@ import math
 from fractions import Fraction
 
 INF = math.inf
+
+
+def lowest_terms(nums, den: int):
+    """The ints nums over a nonzero den, both divided by gcd(den, *nums)
+    with the sign that makes den positive.  nums is a sequence, returned
+    as a tuple, or a dict {key: int} that also loses its zero values."""
+    is_dict = isinstance(nums, dict)
+    g = math.gcd(den, *(nums.values() if is_dict else nums)) * (-1 if den < 0 else 1)
+    if not is_dict:
+        return tuple(nums if g == 1 else [n // g for n in nums]), den // g
+    if g == 1 and 0 not in nums.values():
+        return nums, den
+    return {key: n // g for key, n in nums.items() if n}, den // g
 
 
 def as_local(x) -> Fraction:

@@ -17,13 +17,7 @@ from fractions import Fraction
 
 from .arith import val
 from .endalg import EndTuple
-from .splitring import (
-    ChowClass,
-    SparseVec,
-    SymbolParams,
-    _over_common,
-    repeated_squaring,
-)
+from .splitring import ChowClass, SparseVec, SymbolParams, repeated_squaring
 
 
 class Corr(SparseVec):
@@ -44,7 +38,7 @@ class Corr(SparseVec):
         return "E(%d,%d)" % key
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._coeffs.get((i, j), Fraction(0))
+        return Fraction(self.nums.get((i, j), 0), self.den)
 
     def __mul__(self, other):
         """Intersection product: E(i,j)*E(k,l) = E(i+k, j+l), truncated."""
@@ -54,15 +48,13 @@ class Corr(SparseVec):
             return NotImplemented
         self._check_params(other)
         top = self.params.p - 1
-        da, a = _over_common(self._coeffs)
-        db, b = _over_common(other._coeffs)
         out = {}
-        for (i, j), u in a.items():
-            for (k, l), v in b.items():
+        for (i, j), u in self.nums.items():
+            for (k, l), v in other.nums.items():
                 if i + k <= top and j + l <= top:
                     key = (i + k, j + l)
                     out[key] = out.get(key, 0) + u * v
-        return Corr._over(self.params, out, da * db)
+        return Corr.from_ints(self.params, out, self.den * other.den)
 
     def __matmul__(self, other):
         """beta @ alpha = compose(beta, alpha): alpha applied first."""
@@ -81,22 +73,21 @@ def compose(beta: Corr, alpha: Corr) -> Corr:
     beta._check_params(alpha)
     params = beta.params
     top = params.p - 1
-    da, a = _over_common(alpha._coeffs)
-    db, b = _over_common(beta._coeffs)
     rows = {}  # beta's terms by their first index
-    for (k, l), v in b.items():
+    for (k, l), v in beta.nums.items():
         rows.setdefault(k, []).append((l, v))
     out = {}
-    for (i, j), u in a.items():
+    for (i, j), u in alpha.nums.items():
         for l, v in rows.get(top - j, ()):
             out[i, l] = out.get((i, l), 0) + u * v
     e = params.e
-    return Corr._over(params, {key: n * e.numerator for key, n in out.items()},
-                      da * db * e.denominator)
+    return Corr.from_ints(params, {key: n * e.numerator for key, n in out.items()},
+                          alpha.den * beta.den * e.denominator)
 
 
 def transpose(alpha: Corr) -> Corr:
-    return Corr(alpha.params, {(j, i): v for (i, j), v in alpha._coeffs.items()})
+    return Corr.from_ints(alpha.params,
+                          {(j, i): n for (i, j), n in alpha.nums.items()}, alpha.den)
 
 
 def comp_power(alpha: Corr, r: int) -> Corr:
@@ -117,10 +108,10 @@ def diag_pullback(alpha: Corr) -> ChowClass:
     params = alpha.params
     top = params.p - 1
     out = {}
-    for (i, j), v in alpha._coeffs.items():
+    for (i, j), n in alpha.nums.items():
         if i + j <= top:
-            out[i + j] = out.get(i + j, Fraction(0)) + v
-    return ChowClass(params, out)
+            out[i + j] = out.get(i + j, 0) + n
+    return ChowClass.from_ints(params, out, alpha.den)
 
 
 def action_on_class(alpha: Corr, k: int) -> ChowClass:
@@ -129,11 +120,10 @@ def action_on_class(alpha: Corr, k: int) -> ChowClass:
     top = params.p - 1
     if not 0 <= k <= top:
         raise ValueError("H-exponent %r outside [0, %d]" % (k, top))
-    out = {}
-    for (i, j), v in alpha._coeffs.items():
-        if i == top - k:
-            out[j] = out.get(j, Fraction(0)) + params.e * v
-    return ChowClass(params, out)
+    e = params.e
+    return ChowClass.from_ints(
+        params, {j: e.numerator * n for (i, j), n in alpha.nums.items() if i == top - k},
+        e.denominator * alpha.den)
 
 
 def to_tuple(alpha: Corr) -> EndTuple:
@@ -142,16 +132,21 @@ def to_tuple(alpha: Corr) -> EndTuple:
     product."""
     params = alpha.params
     top = params.p - 1
-    if any(i + j != top for (i, j) in alpha._coeffs):
+    if any(i + j != top for (i, j) in alpha.nums):
         raise ValueError("not an endomorphism of the split motive: "
                          "support off the anti-diagonal")
-    return EndTuple(params.p,
-                    tuple(params.e * alpha.coeff(i, top - i) for i in range(params.p)))
+    e = params.e
+    return EndTuple.from_ints(
+        params.p, [e.numerator * alpha.nums.get((i, top - i), 0) for i in range(params.p)],
+        e.denominator * alpha.den)
 
 
 def from_tuple(params: SymbolParams, t: EndTuple) -> Corr:
     top = params.p - 1
-    return Corr(params, {(i, top - i): x / params.e for i, x in enumerate(t.entries)})
+    e = params.e
+    return Corr.from_ints(
+        params, {(i, top - i): e.denominator * n for i, n in enumerate(t.nums)},
+        e.numerator * t.den)
 
 
 def sigma(params: SymbolParams) -> Corr:

@@ -9,13 +9,12 @@ val_p >= 0 and all entries are congruent mod p:
   t = a*(1,...,1) + p*u  ==>  entries pairwise congruent mod p;
   conversely, with a := t_0 the differences (t_i - a)/p are integral.
 
-A tuple is stored as integer numerators ``nums`` over one positive
-denominator ``den`` with gcd(den, *nums) == 1, so equal tuples have equal
-fields.  The operations work on these ints and build no Fraction: a
-product multiplies numerators entrywise and the denominators together, a
-sum works over lcm(den1, den2), a power raises numerators and denominator
-(already coprime) to the power.  Only the constructor ``EndTuple(p,
-entries)`` validates its input.
+A tuple is stored like a SparseVec: integer numerators ``nums`` over one
+positive denominator ``den`` in lowest terms (``arith.lowest_terms``), so
+equal tuples have equal fields.  The operations work on these ints and
+build no Fraction: a product multiplies numerators entrywise and the
+denominators together, a sum works over lcm(den1, den2).  Only the
+constructor ``EndTuple(p, entries)`` validates its input.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_local, check_prime, val
+from .arith import as_local, check_prime, lowest_terms, val
 
 
 @dataclass(frozen=True, init=False)
@@ -46,13 +45,12 @@ class EndTuple:
     @staticmethod
     def from_ints(p: int, nums, den: int = 1) -> "EndTuple":
         """The tuple with entries n/den for the ints n of nums, brought to
-        lowest terms.  Nothing is checked: p must be prime, nums must
-        have p entries and den must be positive."""
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-        return _make(p, tuple(nums), den)
+        lowest terms.  Nothing is checked: p must be prime and nums must
+        have p entries."""
+        t = object.__new__(EndTuple)
+        nums, den = lowest_terms(nums, den)
+        vars(t).update(p=p, nums=nums, den=den)
+        return t
 
     @property
     def entries(self) -> tuple:
@@ -81,7 +79,7 @@ class EndTuple:
                                   den)
 
     def __neg__(self):
-        return _make(self.p, tuple(-n for n in self.nums), self.den)
+        return EndTuple.from_ints(self.p, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, EndTuple):
@@ -92,10 +90,10 @@ class EndTuple:
         """Entrywise power: composition of diagonal endomorphisms."""
         if not isinstance(r, int) or r < 0:
             raise ValueError("nonnegative integer power required")
-        return _make(self.p, tuple(n**r for n in self.nums), self.den**r)
+        return EndTuple.from_ints(self.p, [n**r for n in self.nums], self.den**r)
 
     def scale(self, scalar) -> "EndTuple":
-        s = as_local(scalar)
+        s = scalar if isinstance(scalar, int) else as_local(scalar)
         return EndTuple.from_ints(self.p, [s.numerator * n for n in self.nums],
                                   s.denominator * self.den)
 
@@ -109,13 +107,6 @@ class EndTuple:
 
     def __str__(self):
         return "(%s)" % ", ".join(str(x) for x in self.entries)
-
-
-def _make(p, nums, den) -> EndTuple:
-    """An EndTuple from fields already in lowest terms."""
-    t = object.__new__(EndTuple)
-    vars(t).update(p=p, nums=nums, den=den)
-    return t
 
 
 def identity(p: int) -> EndTuple:

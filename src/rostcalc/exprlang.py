@@ -24,9 +24,9 @@ from fractions import Fraction
 from .arith import is_local
 from .corresp import (Corr, action_on_class, basis, comp_power, diag_pullback,
                       mult, rho, rost_projector, sigma, to_tuple, transpose)
-from .endalg import EndTuple, invert, is_rational
+from .endalg import EndTuple, identity, invert, is_rational
 from .splitring import (MAX_COEFF_BITS, ChowClass, _check_coeff_size,
-                        h_power, scalar_power)
+                        h_power, repeated_squaring)
 
 MAX_DEPTH = 100
 _TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
@@ -96,14 +96,13 @@ def value_type(v):
 
 
 def _power(v, r):
-    """Intersection power.  Scalars and tuple entries go through
-    scalar_power and classes through repeated squaring, so no coefficient
-    passes MAX_COEFF_BITS."""
+    """Intersection power by repeated squaring, so no coefficient passes
+    MAX_COEFF_BITS; the zeroth power is the unit."""
+    if r:
+        return repeated_squaring(v, r, operator.mul)
     if isinstance(v, Fraction):
-        return scalar_power(v, r)
-    if isinstance(v, EndTuple):
-        return EndTuple(v.p, tuple(scalar_power(x, r) for x in v.entries))
-    return v ** r
+        return Fraction(1)
+    return identity(v.p) if isinstance(v, EndTuple) else v ** 0
 
 
 def _compose_power(v, r):

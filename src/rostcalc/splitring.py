@@ -12,7 +12,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_local, check_prime, require_unit
+from .arith import as_local, check_prime, lowest_terms, require_unit
+from .endalg import EndTuple
 
 
 @dataclass(frozen=True)
@@ -63,25 +64,28 @@ MAX_COEFF_BITS = 10_000
 
 
 def _check_coeff_size(x, what="power"):
-    """Return x, or raise ValueError if a coefficient of it passes
-    MAX_COEFF_BITS.  x is a scalar, a boolean, a SparseVec or an entry
-    tuple."""
-    if isinstance(x, SparseVec):
-        values = x._coeffs.values()
+    """Return x, or raise ValueError if a coefficient of it, in lowest
+    terms, passes MAX_COEFF_BITS.  x is a scalar, a boolean, a SparseVec or
+    an EndTuple.  Reducing n/den only shrinks n and den, so a coefficient of
+    the last two is reduced only when one of them passes the bound."""
+    if isinstance(x, (SparseVec, EndTuple)):
+        den, nums = x.den, x.nums.values() if isinstance(x, SparseVec) else x.nums
+        big = den.bit_length() > MAX_COEFF_BITS
+        terms = [(n // math.gcd(n, den), den // math.gcd(n, den)) for n in nums
+                 if big or n.bit_length() > MAX_COEFF_BITS]
     else:
-        values = getattr(x, "entries", (x,))
-    for v in values:
-        if (v.numerator.bit_length() > MAX_COEFF_BITS
-                or v.denominator.bit_length() > MAX_COEFF_BITS):
-            raise ValueError(f"{what} too large: a coefficient would pass "
-                             f"{MAX_COEFF_BITS} bits")
+        terms = [(x.numerator, x.denominator)]
+    if any(n.bit_length() > MAX_COEFF_BITS or d.bit_length() > MAX_COEFF_BITS
+           for n, d in terms):
+        raise ValueError(f"{what} too large: a coefficient would pass "
+                         f"{MAX_COEFF_BITS} bits")
     return x
 
 
 def repeated_squaring(x, r: int, product):
     """x * x * ... * x (r >= 1 factors) under an associative ``product``,
     in O(log r) products, each checked against MAX_COEFF_BITS.  x is a
-    scalar or a SparseVec."""
+    scalar, a SparseVec or an EndTuple."""
     out = None
     while True:
         if r & 1:
@@ -92,60 +96,51 @@ def repeated_squaring(x, r: int, product):
         x = _check_coeff_size(product(x, x))
 
 
-def scalar_power(q, r: int) -> Fraction:
-    """q^r for a scalar q and r >= 0, under MAX_COEFF_BITS."""
-    if r == 0:
-        return Fraction(1)
-    return repeated_squaring(Fraction(q), r, operator.mul)
-
-
-def _over_common(coeffs):
-    """(D, {key: int}) with D the lcm of the denominators of the Fraction
-    values of coeffs, so that each value is its int over D."""
-    den = math.lcm(*[v.denominator for v in coeffs.values()])
-    return den, {key: v.numerator * (den // v.denominator)
-                 for key, v in coeffs.items()}
-
-
 class SparseVec:
-    """A Z_(p)-linear combination of basis elements, stored as a dict from
-    index to nonzero coefficient.
+    """A Z_(p)-linear combination of basis elements, stored like an
+    EndTuple: a dict ``nums`` from index to nonzero int over one positive
+    int ``den``, in lowest terms (``arith.lowest_terms``), so equal
+    vectors have equal fields.  The operations work on these ints and
+    build no Fraction.  Only the constructor validates its input, and only
+    ``coeff``, ``items``, ``degree`` and ``str`` give Fractions back.
 
     Subclasses fix the index (``_check`` validates one against the top
     exponent p-1), the unit of the intersection product (``_ONE``), the
     printed name of a basis element (``_term``), and the product itself.
     """
 
-    __slots__ = ("params", "_coeffs")
+    __slots__ = ("params", "nums", "den")
 
     _ONE = None
 
     def __init__(self, params: SymbolParams, coeffs=None):
-        self.params = params
         top = params.p - 1
-        check = self._check
-        clean = {}
+        values = {}
         for key, v in (coeffs or {}).items():
-            check(key, top)
-            v = as_local(v)
-            if v != 0:
-                clean[key] = v
-        self._coeffs = clean
+            self._check(key, top)
+            values[key] = as_local(v)
+        den = math.lcm(*[v.denominator for v in values.values()])
+        self.params = params
+        self.nums, self.den = lowest_terms(
+            {key: v.numerator * (den // v.denominator)
+             for key, v in values.items()}, den)
 
     @classmethod
-    def _over(cls, params, nums, den):
-        """The vector {key: n / den} over the nonzero ints n of nums.  The
-        keys are not checked: the products only form valid ones."""
+    def from_ints(cls, params, nums, den=1):
+        """The vector {key: n / den} for the ints n of nums, brought to
+        lowest terms.  The keys are not checked: the operations only form
+        valid ones."""
         out = object.__new__(cls)
         out.params = params
-        out._coeffs = {key: Fraction(n, den) for key, n in nums.items() if n}
+        out.nums, out.den = lowest_terms(nums, den)
         return out
 
     def items(self):
-        return sorted(self._coeffs.items())
+        den = self.den
+        return [(key, Fraction(n, den)) for key, n in sorted(self.nums.items())]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.nums
 
     def _check_params(self, other):
         if self.params != other.params:
@@ -154,22 +149,26 @@ class SparseVec:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.params == other.params and self._coeffs == other._coeffs
+        return (self.params == other.params and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.params, tuple(self.items())))
+        return hash((self.params, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_params(other)
-        out = dict(self._coeffs)
-        for key, v in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + v
-        return type(self)(self.params, out)
+        den = math.lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        out = {key: n * u for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            out[key] = out.get(key, 0) + n * v
+        return self.from_ints(self.params, out, den)
 
     def __neg__(self):
-        return type(self)(self.params, {key: -v for key, v in self._coeffs.items()})
+        return self.from_ints(self.params, {key: -n for key, n in self.nums.items()},
+                              self.den)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -177,8 +176,10 @@ class SparseVec:
         return self + (-other)
 
     def scale(self, scalar):
-        s = as_local(scalar)
-        return type(self)(self.params, {key: s * v for key, v in self._coeffs.items()})
+        s = scalar if isinstance(scalar, int) else as_local(scalar)
+        return self.from_ints(self.params,
+                              {key: s.numerator * n for key, n in self.nums.items()},
+                              s.denominator * self.den)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -190,7 +191,7 @@ class SparseVec:
         if not isinstance(r, int) or r < 0:
             raise ValueError("nonnegative integer power required")
         if r == 0:
-            return type(self)(self.params, {self._ONE: 1})
+            return self.from_ints(self.params, {self._ONE: 1})
         return repeated_squaring(self, r, operator.mul)
 
     def __str__(self):
@@ -227,7 +228,7 @@ class ChowClass(SparseVec):
         return "" if k == 0 else ("H" if k == 1 else "H^%d" % k)
 
     def coeff(self, k: int) -> Fraction:
-        return self._coeffs.get(k, Fraction(0))
+        return Fraction(self.nums.get(k, 0), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -236,14 +237,12 @@ class ChowClass(SparseVec):
             return NotImplemented
         self._check_params(other)
         top = self.params.p - 1
-        da, a = _over_common(self._coeffs)
-        db, b = _over_common(other._coeffs)
         out = {}
-        for i, u in a.items():
-            for j, v in b.items():
+        for i, u in self.nums.items():
+            for j, v in other.nums.items():
                 if i + j <= top:  # truncation: codim of H^{i+j} would exceed d
                     out[i + j] = out.get(i + j, 0) + u * v
-        return ChowClass._over(self.params, out, da * db)
+        return ChowClass.from_ints(self.params, out, self.den * other.den)
 
     def degree(self) -> Fraction:
         """e times the H^{p-1} coefficient (push-forward to a point)."""

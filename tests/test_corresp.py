@@ -232,8 +232,8 @@ def _mul_oracle(x, y):
     Fraction add per pair of terms."""
     top = x.params.p - 1
     out = {}
-    for (i, j), u in x._coeffs.items():
-        for (k, l), v in y._coeffs.items():
+    for (i, j), u in x.items():
+        for (k, l), v in y.items():
             if i + k <= top and j + l <= top:
                 key = (i + k, j + l)
                 out[key] = out.get(key, Fraction(0)) + u * v
@@ -245,17 +245,34 @@ def _compose_oracle(beta, alpha):
     params = beta.params
     top = params.p - 1
     out = {}
-    for (i, j), u in alpha._coeffs.items():
-        for (k, l), v in beta._coeffs.items():
+    for (i, j), u in alpha.items():
+        for (k, l), v in beta.items():
             if k == top - j:
                 out[i, l] = out.get((i, l), Fraction(0)) + params.e * u * v
     return Corr(params, out)
 
 
+def _assert_canonical(v):
+    """v is stored in the one normal form: int numerators over a positive
+    int den, coprime to them as a whole; a vector has no zero numerator,
+    a tuple one per entry."""
+    if isinstance(v.nums, dict):
+        nums = list(v.nums.values())
+        assert 0 not in nums
+    else:
+        nums = v.nums
+        assert len(nums) == v.p
+    assert type(v.den) is int and v.den > 0
+    assert all(type(n) is int for n in nums)
+    assert math.gcd(v.den, *nums) == 1
+
+
 @st.composite
 def corr_pairs(draw, antidiagonal=False):
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    pr = make_params(p, 2, e=draw(st.sampled_from((1, p + 1, Fraction(1, p + 1)))))
+    # a negative e makes compose and from_tuple normalise the sign
+    pr = make_params(p, 2, e=draw(st.sampled_from(
+        (1, p + 1, Fraction(1, p + 1), -(p + 1)))))
     if antidiagonal:
         keys = st.sampled_from([(i, p - 1 - i) for i in range(p)])
     else:
@@ -282,8 +299,11 @@ def test_products_match_fraction_oracles(pair):
                       (x @ y, _compose_oracle(x, y)),
                       (compose(y, x), _compose_oracle(y, x))):
         assert got == want
-        assert all(type(v) is Fraction and v != 0 for v in got._coeffs.values())
         assert str(got) == str(want)
+    top = x.params.p - 1
+    for got in (x * y, x @ y, x + y, x - y, -x, x.scale(Fraction(-3, 2)), x.scale(0),
+                transpose(x), diag_pullback(x), action_on_class(x, top)):
+        _assert_canonical(got)
     for r in (1, 2, 3):
         assert x ** r == functools.reduce(_mul_oracle, [x] * r)
         assert comp_power(x, r) == functools.reduce(_compose_oracle, [x] * r)
@@ -296,10 +316,33 @@ def test_tuple_round_trips_with_mixed_denominators(pair):
     pr = a.params
     top = pr.p - 1
     assert from_tuple(pr, to_tuple(a)) == a
+    _assert_canonical(to_tuple(a))
+    _assert_canonical(from_tuple(pr, to_tuple(b) * to_tuple(a)))
     assert to_tuple(a).entries == tuple(pr.e * a.coeff(i, top - i) for i in range(pr.p))
     assert to_tuple(b @ a) == to_tuple(b) * to_tuple(a)
     assert to_tuple(a + b) == to_tuple(a) + to_tuple(b)
     assert from_tuple(pr, to_tuple(b) * to_tuple(a)) == _compose_oracle(b, a)
+
+
+def test_operations_build_no_fraction(monkeypatch):
+    """Only the constructors and the read-outs (coeff, items, entries,
+    str) build Fractions; the operations work on the stored ints."""
+    pr = make_params(3, 2, e=Fraction(-4, 5))
+    a = Corr(pr, {(0, 2): Fraction(1, 6), (1, 1): Fraction(-3, 4), (2, 0): 2})
+    b = Corr(pr, {(0, 1): Fraction(2, 7), (1, 1): 5, (2, 2): Fraction(1, 2)})
+    q = Fraction(-3, 2)
+    t = to_tuple(a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    results = [a + b, a - b, -a, a.scale(q), a.scale(-2), 3 * a, a * b, a @ b,
+               compose(b, a), transpose(a), diag_pullback(a),
+               action_on_class(a, 1), to_tuple(a), from_tuple(pr, t),
+               t * t, t + t, t - t, -t, t ** 3, t.scale(q), a == b, hash(a)]
+    monkeypatch.undo()
+    assert results[13] == a and results[5] == a.scale(3)
 
 
 def test_comp_power():

@@ -212,7 +212,7 @@ def test_operations_match_per_entry_oracle(pair, scalar, r):
 @given(st.sampled_from(PRIMES), st.data())
 def test_from_ints_is_the_canonical_form(p, data):
     nums = data.draw(st.lists(st.integers(-50, 50), min_size=p, max_size=p))
-    den = data.draw(st.integers(1, 60))
+    den = data.draw(st.integers(-60, 60).filter(bool))  # a negative den flips signs
     _assert_canonical(EndTuple.from_ints(p, nums, den), [Fraction(n, den) for n in nums])
 
 

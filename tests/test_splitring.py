@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -137,11 +138,26 @@ def _mul_oracle(x, y):
     add per pair of terms."""
     top = x.params.p - 1
     out = {}
-    for i, u in x._coeffs.items():
-        for j, v in y._coeffs.items():
+    for i, u in x.items():
+        for j, v in y.items():
             if i + j <= top:
                 out[i + j] = out.get(i + j, Fraction(0)) + u * v
     return ChowClass(x.params, out)
+
+
+def _add_oracle(x, y):
+    out = dict(x.items())
+    for key, v in y.items():
+        out[key] = out.get(key, Fraction(0)) + v
+    return type(x)(x.params, out)
+
+
+def assert_canonical(v):
+    """v is stored in the one normal form: nonzero int numerators over a
+    positive int den, coprime to them as a whole."""
+    assert type(v.den) is int and v.den > 0
+    assert all(type(n) is int and n != 0 for n in v.nums.values())
+    assert math.gcd(v.den, *v.nums.values()) == 1
 
 
 @st.composite
@@ -165,5 +181,10 @@ def test_product_matches_fraction_oracle(pair):
     x, y = pair
     got = x * y
     assert got == _mul_oracle(x, y)
-    assert all(type(v) is Fraction and v != 0 for v in got._coeffs.values())
     assert str(got) == str(_mul_oracle(x, y))
+    assert x + y == _add_oracle(x, y)
+    assert x - y == _add_oracle(x, ChowClass(x.params, {k: -v for k, v in y.items()}))
+    assert x.scale(Fraction(-3, 2)) == ChowClass(
+        x.params, {k: Fraction(-3, 2) * v for k, v in x.items()})
+    for v in (got, x + y, x - y, -x, x.scale(Fraction(-3, 2)), x.scale(0), x * 7):
+        assert_canonical(v)
