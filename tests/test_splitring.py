@@ -152,7 +152,7 @@ def _add_oracle(x, y):
     return type(x)(x.params, out)
 
 
-def assert_canonical(v):
+def _assert_canonical(v):
     """v is stored in the one normal form: nonzero int numerators over a
     positive int den, coprime to them as a whole."""
     assert type(v.den) is int and v.den > 0
@@ -187,4 +187,4 @@ def test_product_matches_fraction_oracle(pair):
     assert x.scale(Fraction(-3, 2)) == ChowClass(
         x.params, {k: Fraction(-3, 2) * v for k, v in x.items()})
     for v in (got, x + y, x - y, -x, x.scale(Fraction(-3, 2)), x.scale(0), x * 7):
-        assert_canonical(v)
+        _assert_canonical(v)
