@@ -1,69 +1,7 @@
 """Exact-arithmetic calculus for split Rost motives.
 
-Everything is computed over the localization of the integers at a prime p,
-using rational numbers with p-coprime denominators (fractions.Fraction).
+Everything is computed over the localization of the integers at a prime p.
+Each module computes one of the paper's objects; import them by module,
+as in ``from rostcalc import steenrod``.  The command line is
+``rostcalc.cli``.
 """
-
-from .corresp import (
-    Corr,
-    basis,
-    comp_power,
-    compose,
-    diag_pullback,
-    projector_iterate,
-    rho,
-    rost_projector,
-    sigma,
-    to_tuple,
-    transpose,
-)
-from .endalg import EndTuple, identity, invert, is_rational
-from .exprlang import eval_source, parse, to_source
-from .reporting import CheckReport
-from .rostchow import closed_form, compare, recurrence
-from .splitring import ChowClass, SymbolParams, h_power, make_params
-from .steenrod import (
-    AuditReport,
-    audit_generators,
-    audit_rationality,
-    cartan_expand,
-    replay,
-)
-from .verify import SUITES, run_suite
-
-__all__ = [
-    "AuditReport",
-    "CheckReport",
-    "ChowClass",
-    "Corr",
-    "EndTuple",
-    "SUITES",
-    "SymbolParams",
-    "audit_generators",
-    "audit_rationality",
-    "basis",
-    "cartan_expand",
-    "closed_form",
-    "comp_power",
-    "compare",
-    "compose",
-    "diag_pullback",
-    "eval_source",
-    "h_power",
-    "identity",
-    "invert",
-    "is_rational",
-    "make_params",
-    "parse",
-    "projector_iterate",
-    "recurrence",
-    "replay",
-    "rho",
-    "rost_projector",
-    "run_suite",
-    "sigma",
-    "to_source",
-    "to_tuple",
-    "transpose",
-]
-__version__ = "0.1.0"

@@ -4,7 +4,9 @@ A scalar is a ``fractions.Fraction``; it lies in Z_(p) exactly when its
 denominator is coprime to p, which is checked at the boundary of each
 operation that needs it.  A vector of scalars (``SparseVec``,
 ``EndTuple``) is stored as integer numerators over one positive
-denominator in lowest terms, the form ``lowest_terms`` gives.
+denominator in lowest terms, the form ``lowest_terms`` gives.  Every
+entry point checks p with ``is_prime``, one deterministic Miller-Rabin
+test that refuses p it cannot decide exactly.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ def as_local(x) -> Fraction:
     raise TypeError("cannot interpret %r as a p-local integer" % (x,))
 
 
-#: below this, primality is decided by trial division
-TRIAL_DIVISION_BELOW = 2 ** 16
 #: the first 13 primes: a strong probable prime to all of them as bases is
 #: prime below MAX_PRIME, the least strong pseudoprime to these bases
 #: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
@@ -50,22 +50,15 @@ MAX_PRIME = 3317044064679887385961981
 
 
 def is_prime(p) -> bool:
-    """Exact primality: trial division below 2^16, deterministic
-    Miller-Rabin over the first 13 prime bases up to MAX_PRIME (about
-    3.3 * 10^24); a ValueError above it, where the test is not proved."""
+    """Exact primality by deterministic Miller-Rabin over those of the
+    first 13 prime bases that lie below p, proved exact up to MAX_PRIME
+    (about 3.3 * 10^24); a ValueError above it."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
-    if p < 4:
+    if p in _MILLER_RABIN_BASES:
         return True
     if p % 2 == 0:
         return False
-    if p < TRIAL_DIVISION_BELOW:
-        f = 3
-        while f * f <= p:
-            if p % f == 0:
-                return False
-            f += 2
-        return True
     if p >= MAX_PRIME:
         raise ValueError(f"p too large: primality is decided only below "
                          f"{MAX_PRIME}")
@@ -74,6 +67,8 @@ def is_prime(p) -> bool:
         odd //= 2
         twos += 1
     for base in _MILLER_RABIN_BASES:
+        if base >= p:
+            break
         x = pow(base, odd, p)
         if x == 1 or x == p - 1:
             continue

@@ -13,10 +13,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import motcoh, rostchow, steenrod
+from . import motcoh, rostchow, steenrod, verify
 from .exprlang import VALUE_TYPES, evaluate, parse, to_source
 from .splitring import make_params
-from .verify import run_suite
 
 FORMATS = ("text", "json", "csv")
 
@@ -71,8 +70,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a named identity suite")
     common(sp)
     sp.add_argument("--suite", required=True,
-                    choices=("correspondences", "symmpow", "endalg",
-                             "motcoh", "steenrod", "all"))
+                    choices=(*verify.SUITES, "all"))
 
     sp = sub.add_parser("eval", help="evaluate an expression")
     common(sp)
@@ -221,7 +219,7 @@ def cmd_motcoh(ns, params):
 
 
 def cmd_verify(ns, params):
-    reports = run_suite(ns.suite, params)
+    reports = verify.run_suite(ns.suite, params)
     lines = []
     failed = 0
     total = 0

@@ -97,10 +97,6 @@ class EndTuple:
         return EndTuple.from_ints(self.p, [s.numerator * n for n in self.nums],
                                   s.denominator * self.den)
 
-    def mult(self) -> Fraction:
-        """Multiplicity: the action on the degree-0 piece."""
-        return Fraction(self.nums[0], self.den)
-
     def _check(self, other):
         if self.p != other.p:
             raise ValueError("mismatched primes %d vs %d" % (self.p, other.p))

@@ -438,7 +438,3 @@ def evaluate(node, params):
             raise EvalError(n.pos, str(err)) from err
 
     return rec(node)
-
-
-def eval_source(src, params):
-    return evaluate(parse(src), params)

@@ -33,7 +33,6 @@ FREE = ChowGroupDesc("free")
 @dataclass
 class RostChowTable:
     params: SymbolParams
-    method: str
     entries: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
 
@@ -55,7 +54,7 @@ def _check_table_size(params):
 
 def closed_form(params):
     _check_table_size(params)
-    table = RostChowTable(params, "closed")
+    table = RostChowTable(params)
     b, p = params.b, params.p
     # j = b*k - p^i + 1 for 1 <= k <= p-1, 1 <= i <= n-1; no two (k, i)
     # give the same j, since 1 < p^i < b
@@ -102,7 +101,7 @@ def _expect_row(row, want_label, where, params):
 
 def recurrence(params):
     _check_table_size(params)
-    table = RostChowTable(params, "recurrence")
+    table = RostChowTable(params)
     p, n, b = params.p, params.n, params.b
     for j in range(params.d + 1):
         if j < b:

@@ -48,8 +48,7 @@ from .reporting import CheckReport
 from .splitring import SymbolParams, h_power
 
 
-ATOM_KINDS = ("sigma", "theta", "second", "third", "chern_x", "chern_y",
-              "h_power", "decomp_x")
+ATOM_KINDS = ("sigma", "theta", "second", "third", "chern_x", "chern_y")
 _RATIONAL = frozenset({"second", "third", "chern_x", "chern_y"})
 
 #: the largest dimension d = p^n - 1 the audits and their argument grids
@@ -77,8 +76,7 @@ class SteenAtom(_Atom):
     kinds: sigma (an unexpanded sigma factor), theta / second / third (the
     three pieces of the sigma decomposition, second = 1 x S^j(H) and
     third = S^j(H) x 1), chern_x / chern_y (Chern classes of the negative
-    tangent bundles, the _y ones pushed forward from the subvariety),
-    h_power, decomp_x (the H^r x x_r summand of the point-splitting of x).
+    tangent bundles, the _y ones pushed forward from the subvariety).
     """
 
     __slots__ = ()
@@ -103,8 +101,7 @@ class SteenAtom(_Atom):
 
     def __str__(self):
         names = {"sigma": "sigma", "theta": "theta_%d", "second": "1xS^%d(H)",
-                 "third": "S^%d(H)x1", "chern_x": "b_%d", "chern_y": "bY_%d",
-                 "h_power": "H^%d", "decomp_x": "x_%d"}
+                 "third": "S^%d(H)x1", "chern_x": "b_%d", "chern_y": "bY_%d"}
         pat = names[self.kind]
         return pat % self.index if "%" in pat else pat
 

@@ -104,8 +104,7 @@ def _trial_division(q):
 
 
 def test_is_prime_matches_trial_division():
-    """Trial division below 2^16, Miller-Rabin from there to 10^5."""
-    assert arith.TRIAL_DIVISION_BELOW < 10**5
+    """Miller-Rabin agrees with trial division on every q below 10^5."""
     assert all(arith.is_prime(q) == _trial_division(q) for q in range(10**5))
 
 

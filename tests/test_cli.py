@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import pathlib
 import resource
 import signal
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rostcalc
+from conftest import child_env
 from rostcalc import rostchow, steenrod, verify
 from rostcalc.cli import main
 from rostcalc.reporting import CheckReport
@@ -338,11 +337,9 @@ HOSTILE_EVAL = {
 def run_subprocess(*argv):
     """Run the real CLI process, failing the test if it takes over 5 s or
     prints a traceback."""
-    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "rostcalc.cli", *argv],
-                          capture_output=True, text=True, timeout=5, env=env)
+                          capture_output=True, text=True, timeout=5,
+                          env=child_env())
     assert "Traceback" not in proc.stderr
     return proc
 
@@ -405,9 +402,6 @@ def test_hostile_argv_subprocess(name):
 def run_capped(seconds, *argv):
     """Run the real CLI process under a 1 GiB address-space cap, failing the
     test if it takes over ``seconds`` or prints a traceback."""
-    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
@@ -415,7 +409,7 @@ def run_capped(seconds, *argv):
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "rostcalc.cli", *argv],
                           capture_output=True, text=True, timeout=seconds,
-                          env=env, preexec_fn=cap)
+                          env=child_env(), preexec_fn=cap)
     assert time.perf_counter() - start < seconds
     assert "Traceback" not in proc.stderr
     return proc

@@ -1,7 +1,6 @@
 import functools
 import math
 import operator
-import os
 import pathlib
 import random
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rostcalc
+from conftest import child_env
 from rostcalc.arith import val
 from rostcalc.corresp import (
     Corr,
@@ -209,12 +208,10 @@ p = 5
 def test_projector_growth_script_subprocess():
     """The script is the only caller of EndTuple ** (p^r) and from_tuple
     outside the tests; its output is pinned byte for byte."""
-    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(GROWTH), "--primes", "2", "3",
                            "5", "--max-r", "3", "--show-tuples"],
-                          capture_output=True, text=True, timeout=30, env=env)
+                          capture_output=True, text=True, timeout=30,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == GROWTH_OUT
     assert proc.stderr == ""

@@ -12,7 +12,6 @@ from rostcalc.exprlang import (
     MAX_LITERAL_DIGITS,
     EvalError,
     ExprSyntaxError,
-    eval_source,
     evaluate,
     parse,
     to_source,
@@ -23,6 +22,10 @@ from rostcalc.splitring import ChowClass, h_power, make_params
 P32 = make_params(3, 2)
 P21 = make_params(2, 1)
 P52 = make_params(5, 2)
+
+
+def eval_source(src, params):
+    return evaluate(parse(src), params)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -549,8 +552,3 @@ def test_eval_rho_action_bottom_cell_p5():
 def test_eval_projector_identities_p5():
     assert eval_source("t(pi) - pi", P52).is_zero()
     assert eval_source("deg(diag(pi))", P52) == 5
-
-
-def test_eval_source_equals_evaluate_of_parse():
-    src = "mult(sigma @ t(sigma)) + deg(H^2) * 2"
-    assert eval_source(src, P32) == evaluate(parse(src), P32)

@@ -10,7 +10,8 @@ from rostcalc import steenrod
 from rostcalc.splitring import make_params
 
 SRC = pathlib.Path(rostcalc.__file__).resolve().parent
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_no_assert_statements():
@@ -20,6 +21,41 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _identifiers(node):
+    """The names, attribute names and identifier strings used in node (the
+    benchmark's tracer names what it wraps by string)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            yield sub.value
+
+
+def test_library_names_have_a_non_test_caller():
+    """Every module-level function and class of the package is used outside
+    its own definition by the package, the scripts or the benchmark, not
+    only by the tests.  The package's __init__ is no caller."""
+    callers = [path for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py"))
+    callers += [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+                if not path.name.startswith("test_")]
+    defined, used = {}, Counter()
+    for path in callers:
+        for stmt in ast.parse(path.read_text()).body:
+            names = Counter(_identifiers(stmt))
+            if path.parent == SRC and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = f"{path.stem}.{stmt.name}"
+                del names[stmt.name]
+            used.update(names)
+    assert sorted(where for name, where in defined.items()
+                  if not used[name]) == []
 
 
 def _tracer_module():

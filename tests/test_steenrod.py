@@ -1,6 +1,5 @@
 """Cartan expansion, the sigma decomposition, and the divisibility audits."""
 
-import os
 import pathlib
 import runpy
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rostcalc
+from conftest import child_env
 from rostcalc import steenrod
 from rostcalc.arith import multinomial
 from rostcalc.splitring import make_params
@@ -1005,12 +1004,9 @@ SWEEP = pathlib.Path(__file__).parents[1] / "scripts" / "audit_sweep.py"
 
 
 def test_audit_sweep_subprocess():
-    src = str(pathlib.Path(rostcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(SWEEP), "-p", "2", "-n", "2",
                            "--replay"], capture_output=True, text=True,
-                          timeout=30, env=env)
+                          timeout=30, env=child_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "  verdicts: zero=218 at-least=740 exact=16" in lines
