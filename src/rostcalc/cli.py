@@ -2,7 +2,8 @@
 
 Payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success /
 all checks pass, 1 a verification or audit failed, 2 invalid input
-(bad flags, non-prime p, parse or type errors, non-unit e).
+(bad flags, non-prime p, parse or type errors, non-unit e).  The Chow,
+motivic-cohomology and Steenrod engines load with the subcommand that runs them.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import motcoh, rostchow, steenrod, verify
+from . import verify
 from .exprlang import VALUE_TYPES, evaluate, parse, to_source
 from .splitring import make_params
 
@@ -135,6 +136,7 @@ def _provenance(desc, params):
 
 
 def cmd_chow(ns, params):
+    from . import rostchow
     if ns.method == "both":
         agree, diffs = rostchow.compare(params)
         if not agree:
@@ -177,6 +179,7 @@ def cmd_chow(ns, params):
 
 
 def _monomial_doc(mono, params):
+    from . import motcoh
     if mono == motcoh.CONSTANT_CLASS:
         return {"m": None, "k": None, "eps": None, "text": "1"}
     return {"m": mono.m, "k": mono.k, "eps": list(mono.eps),
@@ -190,6 +193,7 @@ def _monomial_row(doc):
 
 
 def cmd_motcoh(ns, params):
+    from . import motcoh
     row_mode = ns.row is not None or ns.j is not None
     if row_mode == (ns.bidegree is not None):
         raise ValueError(
@@ -255,6 +259,7 @@ def cmd_eval(ns, params):
 
 
 def cmd_audit(ns, params):
+    from . import steenrod
     if ns.rationality:
         if ns.s is None or ns.r is not None:
             raise ValueError("--rationality takes -m M and -s S")

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .arith import val
 from .endalg import EndTuple
-from .splitring import ChowClass, SparseVec, SymbolParams, repeated_squaring
+from .splitring import (MAX_COEFF_BITS, ChowClass, SparseVec, SymbolParams,
+                        repeated_squaring)
 
 
 class Corr(SparseVec):
@@ -155,9 +156,19 @@ def sigma(params: SymbolParams) -> Corr:
 
 
 def rho(params: SymbolParams) -> Corr:
-    """rho = sigma^{p-1} (intersection power); congruent mod p to the
-    alternating sum of the E(i, p-1-i)."""
-    return sigma(params) ** (params.p - 1)
+    """rho = sigma^{p-1} = sum_i (-1)^i C(p-1, i) E(i, p-1-i), built one
+    binomial from the last by C(r, i+1) = C(r, i)(r-i)/(i+1).  C(p-1, i) is
+    (-1)^i mod p, so rho = sum_i E(i, p-1-i) mod p.  A binomial past
+    MAX_COEFF_BITS raises ValueError at once, as a power would."""
+    r = params.p - 1
+    nums, c = {}, 1
+    for i in range(r + 1):
+        if c.bit_length() > MAX_COEFF_BITS:
+            raise ValueError(f"power too large: a coefficient would pass "
+                             f"{MAX_COEFF_BITS} bits")
+        nums[i, r - i] = -c if i & 1 else c
+        c = c * (r - i) // (i + 1)
+    return Corr.from_ints(params, nums)
 
 
 def rost_projector(params: SymbolParams) -> Corr:

@@ -170,6 +170,12 @@ def build_morphisms(i, params):
     return {"a": a, "b": b, "x": x, "y": y, "r": r}
 
 
+def morphism_table(params):
+    """build_morphisms(i, params) for every i in 1..p-1, keyed by i: the
+    checks below take one such table so that a suite builds each map once."""
+    return {i: build_morphisms(i, params) for i in range(1, params.p)}
+
+
 def identity_map(module):
     dim = module.dim
     return GradedMap(module, module, _mat(dim, dim, {(t, t): 1 for t in range(dim)}))
@@ -197,16 +203,17 @@ def id_tensor_y(i, params):
     return GradedMap(src, tgt, _mat(dim, 2 * dim, {(t, t): 1 for t in range(dim)}))
 
 
-def verify_somesome(params):
+def verify_somesome(params, maps=None):
     """Contraction/multiplication identities between neighboring Sym powers."""
     report = CheckReport(f"somesome p={params.p}")
     if params.p == 2:
         report.add("index range 2..p-1", True, "vacuously true: no indices to check")
         return report
-    prev = build_morphisms(1, params)
+    maps = maps or morphism_table(params)
+    prev = maps[1]
     comp = prev["y"]  # y_1 ... y_i, extended by one factor per i
     for i in range(2, params.p):
-        cur = build_morphisms(i, params)
+        cur = maps[i]
         lhs = (cur["y"] @ cur["b"]) - (prev["b"] @ tensor_map_with_id(prev["y"], params))
         rhs = id_tensor_y(i - 1, params)
         report.add(f"(1) y_{i} b_{i} - b_{i-1}(y_{i-1}(x)id) = id(x)y", lhs.same_matrix(rhs))
@@ -221,24 +228,25 @@ def verify_somesome(params):
     return report
 
 
-def s_map(params):
+def s_map(params, maps=None):
     """s = (1/(p-2)!) y_2 ... y_{p-1}: Sym^{p-1} -> M; identity scale for p = 2."""
     p = params.p
     if p == 2:
         return identity_map(sym_module(1, params))
-    comp = build_morphisms(2, params)["y"]
+    maps = maps or morphism_table(params)
+    comp = maps[2]["y"]
     for t in range(3, p):
-        comp = comp @ build_morphisms(t, params)["y"]
+        comp = comp @ maps[t]["y"]
     return comp.scale(Fraction(1, factorial(p - 2)))
 
 
-def verify_manyi_ccom(params):
+def verify_manyi_ccom(params, maps=None):
     """Commuting squares for the x/y ladder and for the contraction s."""
     p = params.p
     report = CheckReport(f"manyi/ccom p={p}")
+    maps = maps or morphism_table(params)
     for i in range(2, p):
-        cur = build_morphisms(i, params)
-        prev = build_morphisms(i - 1, params)
+        cur, prev = maps[i], maps[i - 1]
         # the (b)-twist on the second factor lives in the `shift` attribute
         lhs = cur["y"] @ cur["x"]
         rhs = prev["x"] @ prev["y"]
@@ -247,10 +255,9 @@ def verify_manyi_ccom(params):
             lhs.same_matrix(rhs) and lhs.shift == rhs.shift,
         )
 
-    s = s_map(params)
+    s = s_map(params, maps)
     degenerate = " [degenerate: s = identity scale]" if p == 2 else ""
-    first = build_morphisms(1, params)
-    top = build_morphisms(p - 1, params)
+    first, top = maps[1], maps[p - 1]
     lhs = first["y"] @ s
     report.add(f"y s = {p - 1}*r_{p-1}{degenerate}", lhs.same_matrix(top["r"].scale(p - 1)))
 
@@ -259,9 +266,8 @@ def verify_manyi_ccom(params):
         lhs2 = s @ first["x"]
         rhs2 = first["x"] @ identity_map(sym_module(0, params))
     else:
-        prev_top = build_morphisms(p - 2, params)
         lhs2 = s @ top["x"]
-        rhs2 = first["x"] @ prev_top["r"]
+        rhs2 = first["x"] @ maps[p - 2]["r"]
     report.add(
         f"s x_{p-1} = x r_{p-2}(b){degenerate}",
         lhs2.same_matrix(rhs2) and lhs2.shift == rhs2.shift,
@@ -309,11 +315,11 @@ def _split_exact(f, g, p):
     return True, ""
 
 
-def verify_triangles(params):
+def verify_triangles(params, maps=None):
     """Split-exactness of the two twist/contraction sequences at Sym^{p-1}."""
     p = params.p
     report = CheckReport(f"triangles p={p}")
-    top = build_morphisms(p - 1, params)
+    top = (maps or morphism_table(params))[p - 1]
 
     # first: Z((p-1)b) -> Sym^{p-1} -> Sym^{p-2}, inclusion of e_{p-1} against y_{p-1}
     line = sym_module(0, params)

@@ -5,7 +5,7 @@ import math
 import random
 from fractions import Fraction
 
-from . import motcoh, rostchow, steenrod, sympow
+from . import sympow
 from .arith import val
 from .corresp import (
     basis,
@@ -57,9 +57,10 @@ def suite_correspondences(params):
 
 def suite_symmpow(params):
     report = CheckReport(f"symmpow p={params.p} n={params.n}")
-    for sub in (sympow.verify_somesome(params),
-                sympow.verify_manyi_ccom(params),
-                sympow.verify_triangles(params)):
+    maps = sympow.morphism_table(params)
+    for sub in (sympow.verify_somesome(params, maps),
+                sympow.verify_manyi_ccom(params, maps),
+                sympow.verify_triangles(params, maps)):
         for name, ok, detail in sub.checks:
             report.add(f"{sub.title}: {name}", ok, detail)
     return report
@@ -71,13 +72,12 @@ def _random_rational_tuple(rng, p):
     residue = rng.randrange(p)
     denoms = [q for q in range(1, 10) if q % p != 0]
     common = math.lcm(*denoms)
-    nums = []
-    for _ in range(p):
-        num = rng.randrange(-9, 10)
-        den = rng.choice(denoms)
-        # residue + p * num/den over the common denominator
-        nums.append(residue * common + p * num * (common // den))
-    return EndTuple.from_ints(p, nums, common)
+    nums = rng.choices(range(-9, 10), k=p)
+    dens = rng.choices(denoms, k=p)
+    # residue + p * num/den over the common denominator
+    return EndTuple.from_ints(
+        p, [residue * common + p * num * (common // den)
+            for num, den in zip(nums, dens)], common)
 
 
 ENDALG_SAMPLES = 200
@@ -106,8 +106,10 @@ def suite_endalg(params):
 
     inv_ok, one = True, identity(p)
     for _ in range(ENDALG_SAMPLES):
+        residues = rng.choices(range(1, p), k=p)
+        multipliers = rng.choices(range(-5, 6), k=p)
         u = EndTuple.from_ints(
-            p, [rng.randrange(1, p) + p * rng.randrange(-5, 6) for _ in range(p)])
+            p, [r + p * m for r, m in zip(residues, multipliers)])
         inv_ok &= invert(u) * u == one
     report.add("units invert back to the identity", inv_ok, note)
 
@@ -125,6 +127,7 @@ def suite_endalg(params):
 
 
 def suite_motcoh(params):
+    from . import motcoh, rostchow
     report = CheckReport(f"motcoh p={params.p} n={params.n}")
     agree, diffs = rostchow.compare(params)
     report.add("closed form matches recurrence",
@@ -162,6 +165,7 @@ def _steenrod_args(params):
     """Full audit grid for small d; otherwise a cheap sample.  The cost of
     one audit grows with the number of Steenrod factors s/(p-1), so the
     sample sticks to the smallest valid s per chosen m."""
+    from . import steenrod
     gen = steenrod.generators_arguments(params)
     if params.d <= 10:
         return steenrod.rationality_arguments(params), gen
@@ -174,6 +178,7 @@ def _steenrod_args(params):
 
 
 def suite_steenrod(params):
+    from . import steenrod
     report = CheckReport(f"steenrod p={params.p} n={params.n}")
     rat, gen = _steenrod_args(params)
     first_rat = first_gen = None

@@ -432,6 +432,16 @@ SLOW_ARGV = {
         1, ["params", "-p", str(2**89 - 1), "-n", "1"], 2,
         "p too large: primality is decided only below "
         "3317044064679887385961981"),
+    # C(10006, 5003) has 10,000 bits, C(10008, 5004) 10,002
+    "rho at p = 10007": (
+        1, ["eval", "-p", "10007", "-n", "1", "rational(tuple(rho))"], 0,
+        "true"),
+    "rho at p = 10009": (
+        1, ["eval", "-p", "10009", "-n", "1", "rho"], 2,
+        "power too large: a coefficient would pass 10000 bits"),
+    "rho at p = 1000003": (
+        1, ["eval", "-p", "1000003", "-n", "1", "rho"], 2,
+        "power too large: a coefficient would pass 10000 bits"),
 }
 
 
@@ -443,6 +453,33 @@ def test_slow_argv_capped_subprocess(name):
     proc = run_capped(seconds, *argv)
     assert proc.returncode == code
     assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
+
+
+_ENGINES = {"motcoh", "rostchow", "steenrod"}
+
+
+@pytest.mark.parametrize("argv,engines", [
+    (["params", "-p", "3", "-n", "2"], set()),
+    (["eval", "-p", "3", "-n", "2", "rho"], set()),
+    (["verify", "-p", "3", "-n", "2", "--suite", "symmpow"], set()),
+    (["chow", "-p", "3", "-n", "2"], {"rostchow", "motcoh"}),
+    (["motcoh", "-p", "3", "-n", "2", "--row", "even", "--j", "4"],
+     {"motcoh"}),
+    (["audit", "-p", "3", "-n", "2", "--generators", "-m", "1", "-r", "1"],
+     {"steenrod"}),
+])
+def test_subcommand_loads_only_its_engines(argv, engines):
+    """A fresh process that runs one subcommand imports only the engines
+    that subcommand needs (rostchow needs motcoh)."""
+    script = ("import sys; from rostcalc import cli; code = cli.main("
+              "sys.argv[1:]); print(code, *sorted(sys.modules), "
+              "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=child_env())
+    code, *modules = proc.stderr.split()
+    assert code == "0"
+    assert {m.removeprefix("rostcalc.") for m in modules} & _ENGINES == engines
 
 
 @pytest.mark.parametrize("expr", ["(2*pi)^@1000000000", "2^100000000",

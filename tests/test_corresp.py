@@ -61,6 +61,14 @@ def test_rho_is_signed_binomial_antidiagonal(p, e):
     assert all(val(v, p) >= 1 for _, v in diff.items())
 
 
+@pytest.mark.parametrize("p", [p for p in range(2, 62)
+                               if all(p % q for q in range(2, p))])
+def test_rho_closed_form_equals_sigma_power(p):
+    for e in (1, p + 1, Fraction(1, p + 1), -(p + 1)):
+        pr = make_params(p, 1, e=e)
+        assert rho(pr) == sigma(pr) ** (p - 1)
+
+
 @pytest.mark.parametrize("p,e", PE_GRID)
 def test_rhosigma(p, e):
     pr = make_params(p, 2, e=e)

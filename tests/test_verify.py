@@ -1,11 +1,13 @@
 """Verification suite wiring."""
 
+import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from rostcalc import verify
+from rostcalc import sympow, verify
 from rostcalc.endalg import EndTuple
 from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
@@ -16,7 +18,11 @@ from rostcalc.verify import (
     _steenrod_args,
     run_suite,
     suite_endalg,
+    suite_symmpow,
 )
+
+SYMMPOW_LINES = (pathlib.Path(__file__).parent / "golden"
+                 / "symmpow-report-lines.txt")
 
 P32 = make_params(3, 2)
 
@@ -58,10 +64,10 @@ def _random_rational_tuple_oracle(rng, p):
     """The sample built with Fraction arithmetic, one entry at a time."""
     residue = rng.randrange(p)
     denoms = [q for q in range(1, 10) if q % p != 0]
+    nums = rng.choices(range(-9, 10), k=p)
+    dens = rng.choices(denoms, k=p)
     entries = []
-    for _ in range(p):
-        num = rng.randrange(-9, 10)
-        den = rng.choice(denoms)
+    for num, den in zip(nums, dens):
         entries.append(residue + p * Fraction(num, den))
     return EndTuple(p, tuple(entries))
 
@@ -94,6 +100,29 @@ def test_steenrod_args_sampled_large_d():
     rat, gen = _steenrod_args(params)
     assert rat == [(0, 0), (0, 6), (1, 0)]
     assert len(gen) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_symmpow_suite_builds_each_morphism_table_once(monkeypatch, p):
+    built = Counter()
+    build = sympow.build_morphisms
+
+    def counting(i, params):
+        built[i, params] += 1
+        return build(i, params)
+
+    monkeypatch.setattr(sympow, "build_morphisms", counting)
+    params = make_params(p, 2)
+    (report,) = run_suite("symmpow", params)
+    assert report.passed
+    assert built == {(i, params): 1 for i in range(1, p)}
+
+
+def test_symmpow_report_lines_match_recorded():
+    """The lines recorded before the suite shared one morphism table."""
+    lines = [line for p in (2, 3, 5, 7, 31)
+             for line in suite_symmpow(make_params(p, 2)).lines()]
+    assert lines == SYMMPOW_LINES.read_text().splitlines()
 
 
 def test_symmpow_suite_merges_subreports():
