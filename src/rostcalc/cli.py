@@ -138,43 +138,42 @@ def _provenance(desc, params):
 def cmd_chow(ns, params):
     from . import rostchow
     if ns.method == "both":
-        agree, diffs = rostchow.compare(params)
-        if not agree:
+        table, other = rostchow.closed_form(params), rostchow.recurrence(params)
+        diffs = rostchow.diffs(table, other)
+        if diffs:
             for j, left, right in diffs:
                 print(f"disagreement at j={j}: closed {left} vs "
                       f"recurrence {right}", file=sys.stderr)
             return 1
-        table = rostchow.closed_form(params)
-        trace = {j: f"closed: {table.trace[j]}; recurrence: {t}"
-                 for j, t in rostchow.recurrence(params).trace.items()}
-    elif ns.method == "recurrence":
-        table = rostchow.recurrence(params)
-        trace = table.trace
     else:
-        table = rostchow.closed_form(params)
-        trace = table.trace
-
-    groups = []
-    lines = [f"Chow groups, p={params.p} n={params.n} (method {ns.method})"]
-    for j in range(params.d + 1):
-        desc = table.entries[j]
-        entry = {"j": j, "kind": desc.kind}
-        line = f"j={j}: {desc.kind}"
-        prov = _provenance(desc, params)
-        if prov:
-            entry["provenance"] = prov
-            line += f"  [{prov}]"
-        if ns.trace:
-            line += f"  -- {trace[j]}"
-        groups.append(entry)
-        lines.append(line)
-    doc = _param_doc(params)
-    doc["method"] = ns.method
-    doc["groups"] = groups
+        table = (rostchow.recurrence if ns.method == "recurrence"
+                 else rostchow.closed_form)(params)
     if ns.trace:
-        doc["trace"] = {str(j): trace[j] for j in range(params.d + 1)}
-    _write(ns.format, doc, ["j", "kind"],
-           [[g["j"], g["kind"]] for g in groups], lines)
+        trace = table.trace
+        if ns.method == "both":
+            trace = {j: f"closed: {t}; recurrence: {r}"
+                     for (j, t), r in zip(trace.items(), other.trace.values())}
+
+    entries = table.entries
+    provenance = {j: text for j in table.nonzero()
+                  if (text := _provenance(entries[j], params))}
+    rows = [(j, desc.kind) for j, desc in entries.items()]
+    doc = lines = None
+    if ns.format == "json":
+        groups = [{"j": j, "kind": kind} for j, kind in rows]
+        for j, text in provenance.items():
+            groups[j]["provenance"] = text
+        doc = _param_doc(params)
+        doc.update(method=ns.method, groups=groups)
+        if ns.trace:
+            doc["trace"] = {str(j): note for j, note in trace.items()}
+    elif ns.format == "text":
+        lines = [f"Chow groups, p={params.p} n={params.n} (method {ns.method})"]
+        lines += (f"j={j}: {kind}"
+                  + (f"  [{provenance[j]}]" if j in provenance else "")
+                  + (f"  -- {trace[j]}" if ns.trace else "")
+                  for j, kind in rows)
+    _write(ns.format, doc, ["j", "kind"], rows, lines)
     return 0
 
 

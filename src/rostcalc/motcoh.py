@@ -18,9 +18,15 @@ k = (j - w - 2) // (c+1).  Then eps is the base-p expansion of v/p, and a
 bidegree has a monomial only if p divides v and every one of its n digits
 is 0 or 1 with nothing left over.  enumerate_monomials therefore does O(n)
 work per bidegree, not a scan of all 2^n eps vectors.
+
+nonzero_rows reads the rows H^{2j,j} (w = 0) and H^{2j+1,j} (w = -1) with
+j <= d off the monomials instead.  There k = 0, as (c-1)*k + n > d for
+k >= 1, and m = w + |eps| - n + 2 >= 0 leaves eps at most 2 + w zeros:
+O(n^2) candidates, each fixing m and j, each read back by enumerate_monomials.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .splitring import SymbolParams
 
@@ -149,6 +155,26 @@ def odd_row(j, params):
     if not 0 <= j <= params.d:
         raise ValueError(f"row index {j} outside [0, {params.d}]")
     return _group_from(enumerate_monomials(2 * j + 1, j, params), params)
+
+
+def nonzero_rows(params):
+    """The nonzero rows H^{2j,j} and H^{2j+1,j} with 0 <= j <= d, as
+    {(i, j): group} in increasing j (see the module docstring)."""
+    n = params.n
+    rows = {(0, 0): even_row(0, params)}
+    for w in (0, -1):
+        for gaps in (g for zeros in range(3 + w)
+                     for g in combinations(range(n), zeros)):
+            eps = tuple(0 if t in gaps else 1 for t in range(n))
+            mono = MCMonomial(w + 2 - len(gaps), 0, eps)
+            # sum_t eps_t*(p^t - 1) + n = c - 1 - sum over the gaps
+            j = params.c - 1 + mono.m - sum(params.p ** (t + 1) - 1 for t in gaps)
+            if j <= params.d:
+                row = _group_from(enumerate_monomials(2 * j - w, j, params), params)
+                if row.monomials != (mono,):
+                    raise ValueError(f"monomial {mono} does not read back at ({2 * j - w}, {j})")
+                rows[(2 * j - w, j)] = row
+    return dict(sorted(rows.items(), key=lambda item: item[0][::-1]))
 
 
 def render_monomial(mono, params):

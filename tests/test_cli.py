@@ -137,14 +137,39 @@ def test_chow_methods_agree(capsys):
 
 
 def test_chow_both_disagreement_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(
-        rostchow, "compare",
-        lambda params: (False, [(0, rostchow.FREE, rostchow.ZERO)]))
+    real = rostchow.closed_form
+
+    def closed_form(params):
+        table = real(params)
+        table.entries[0] = rostchow.ZERO
+        return table
+    monkeypatch.setattr(rostchow, "closed_form", closed_form)
     code, out, err = run(capsys, "chow", "-p", "3", "-n", "2",
                          "--method", "both")
     assert code == 1
     assert out == ""
     assert "disagreement at j=0" in err
+    assert err.count("disagreement") == 1
+
+
+@pytest.mark.parametrize("method,calls", [
+    ("closed", {"closed_form": 1, "recurrence": 0}),
+    ("recurrence", {"closed_form": 0, "recurrence": 1}),
+    ("both", {"closed_form": 1, "recurrence": 1}),
+])
+@pytest.mark.parametrize("extra", [[], ["--trace"], ["--format", "json"]])
+def test_chow_builds_each_table_once(capsys, monkeypatch, method, calls,
+                                     extra):
+    counts = dict.fromkeys(calls, 0)
+    for name in counts:
+        def counted(params, name=name, real=getattr(rostchow, name)):
+            counts[name] += 1
+            return real(params)
+        monkeypatch.setattr(rostchow, name, counted)
+    code, _, _ = run(capsys, "chow", "-p", "3", "-n", "2", "--method", method,
+                     *extra)
+    assert code == 0
+    assert counts == calls
 
 
 # --- motcoh --------------------------------------------------------------------
@@ -442,6 +467,13 @@ SLOW_ARGV = {
     "rho at p = 1000003": (
         1, ["eval", "-p", "1000003", "-n", "1", "rho"], 2,
         "power too large: a coefficient would pass 10000 bits"),
+    "chow both at (7,6)": (
+        1, ["chow", "-p", "7", "-n", "6", "--method", "both", "--format",
+            "csv"], 0, "117648,p_free"),
+    # d + 1 = 2^17 rows, the largest table in bound
+    "chow both at (2,17)": (
+        1, ["chow", "-p", "2", "-n", "17", "--method", "both", "--format",
+            "csv"], 0, "131071,p_free"),
 }
 
 

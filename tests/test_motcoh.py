@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from rostcalc import motcoh
 from rostcalc.motcoh import (
     CONSTANT_CLASS,
     MCGroup,
@@ -13,6 +14,7 @@ from rostcalc.motcoh import (
     even_row,
     gamma,
     mu,
+    nonzero_rows,
     odd_row,
     qtilde,
     render_group,
@@ -146,6 +148,34 @@ def test_rows_match_closed_forms(p, n):
     for j in range(pr.d + 1):
         assert even_row(j, pr) == closed_even(j, pr), f"even row {j} at (p,n)=({p},{n})"
         assert odd_row(j, pr) == closed_odd(j, pr), f"odd row {j} at (p,n)=({p},{n})"
+
+
+@pytest.mark.parametrize("p,n", GRID + [(7, 2), (11, 2), (2, 6)])
+def test_nonzero_rows_are_the_nonzero_row_queries(p, n):
+    pr = make_params(p, n)
+    want = {(i, j): row for j in range(pr.d + 1)
+            for i, row in ((2 * j, even_row(j, pr)), (2 * j + 1, odd_row(j, pr)))
+            if not row.is_zero}
+    got = nonzero_rows(pr)
+    assert got == want
+    assert list(got) == sorted(got, key=lambda key: key[::-1])
+    assert len(got) == n + 2 - (pr.b + 1 > pr.d)
+
+
+def test_nonzero_rows_read_each_row_back(monkeypatch):
+    """Each candidate row in range goes through enumerate_monomials, whose
+    answer must be the candidate's own monomial."""
+    pr = make_params(3, 3)
+    calls = []
+    real = motcoh.enumerate_monomials
+    monkeypatch.setattr(motcoh, "enumerate_monomials",
+                        lambda i, j, params: calls.append((i, j)) or real(i, j, params))
+    rows = nonzero_rows(pr)
+    assert sorted(calls) == sorted(key for key in rows if key != (0, 0))
+    monkeypatch.setattr(motcoh, "enumerate_monomials",
+                        lambda i, j, params: [MCMonomial(0, 0, (0, 0, 0))])
+    with pytest.raises(ValueError, match="does not read back"):
+        nonzero_rows(pr)
 
 
 @pytest.mark.parametrize("p,n", GRID)
