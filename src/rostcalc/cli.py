@@ -242,7 +242,7 @@ def cmd_eval(ns, params):
     ast = parse(ns.expr)
     result = evaluate(ast, params)
     if ns.format == "text":
-        # small text calls dominate eval traffic: build no json or csv value
+        # text prints the value alone: build no json document or csv rows
         text = (("true" if result else "false") if isinstance(result, bool)
                 else result)
         _write("text", None, None, None, [text])

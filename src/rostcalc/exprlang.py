@@ -8,15 +8,19 @@ Grammar (ASCII):
     postfix := atom { "^" INT | "^@" INT }
     atom    := "sigma" | "rho" | "pi" | "E" "(" INT "," INT ")" | "H" "^" INT
              | INT | RATIONAL | IDENT "(" args ")" | "(" expr ")"
+    IDENT := [A-Za-z_][A-Za-z0-9_]*  INT := [0-9]+  RATIONAL := [0-9]+/[0-9]+
 
 "*" is the intersection product, "@" composition, "^" intersection power,
 "^@" composition power.  Functions: t, mult, diag, deg, act, tuple, inv,
 rational.  Rationals are literals q/r; division is not an operator.
 Nesting (parentheses, calls, unary minus) and the depth of the expression
-tree are each at most MAX_DEPTH; deeper input is a syntax error.
+tree are each at most MAX_DEPTH; deeper input is a syntax error.  Spaces,
+tabs, carriage returns and newlines separate tokens; any other character,
+every non-ASCII one included, is a syntax error at its line and column.
 """
 
 import operator
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,12 +39,8 @@ _TOO_DEEP = f"at most {MAX_DEPTH} levels of nesting"
 MAX_LITERAL_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | INT | RATIONAL | PUNCT | EOF
-    lexeme: str
-    line: int
-    column: int
+# kind is IDENT, INT, RATIONAL, PUNCT or EOF
+Token = namedtuple("Token", "kind lexeme line column")
 
 
 class ExprSyntaxError(ValueError):
@@ -159,51 +159,33 @@ _NAMES = {"sigma": sigma, "rho": rho, "pi": rost_projector}
 
 # --- tokenizer -----------------------------------------------------------------
 
-# operator lexemes and grammar punctuation; none is longer than two
-# characters, and a two-character one ("^@") wins over its first character
-_PUNCT = {op.lexeme for op in _OPERATORS} | {"(", ")", ","}
+# operator lexemes and grammar punctuation, longest first so that "^@" wins
+# over "^".  The token regex tries one named group per kind in order, and
+# ERROR takes any character no other group does, each non-ASCII one too.
+_PUNCT = sorted({op.lexeme for op in _OPERATORS} | {"(", ")", ","},
+                key=len, reverse=True)
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<RATIONAL>[0-9]+/[0-9]+)",
+    r"(?P<INT>[0-9]+)",
+    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    r"(?P<NEWLINE>\n)",
+    r"(?P<BLANK>[ \t\r]+)",
+    r"(?P<ERROR>.)")))
 
 
 def tokenize(src):
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        start = col
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", src[i:j], line, start))
-        elif ch.isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j + 1 < n and src[j] == "/" and src[j + 1].isdigit():
-                j += 2
-                while j < n and src[j].isdigit():
-                    j += 1
-                tokens.append(Token("RATIONAL", src[i:j], line, start))
-            else:
-                tokens.append(Token("INT", src[i:j], line, start))
-        else:
-            lexeme = src[i:i + 2] if src[i:i + 2] in _PUNCT else ch
-            if lexeme not in _PUNCT:
-                raise ExprSyntaxError(line, col, f"a token, not {ch!r}")
-            j = i + len(lexeme)
-            tokens.append(Token("PUNCT", lexeme, line, start))
-        col += j - i
-        i = j
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0  # the offset where the current line starts
+    for m in _TOKEN_RE.finditer(src):
+        kind, column = m.lastgroup, m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "ERROR":
+            raise ExprSyntaxError(line, column, f"a token, not {m.group()!r}")
+        elif kind != "BLANK":
+            tokens.append(Token(kind, m.group(), line, column))
+    tokens.append(Token("EOF", "", line, len(src) - line_start + 1))
     return tokens
 
 
@@ -227,16 +209,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_punct(self, lexeme):
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.lexeme == lexeme
-
     def fail(self, expected):
         tok = self.peek()
         raise ExprSyntaxError(tok.line, tok.column, expected)
 
     def expect_punct(self, lexeme):
-        if not self.at_punct(lexeme):
+        if self.peek().lexeme != lexeme:
             self.fail(f"'{lexeme}'")
         return self.advance()
 
@@ -273,7 +251,7 @@ class _Parser:
             self.fail(_TOO_DEEP)
         self.nesting += 1
         tok = self.peek()
-        if self.at_punct("-"):
+        if tok.lexeme == "-":
             self.advance()
             node = Node("Neg", (self.parse_unary(),), None,
                         (tok.line, tok.column))
@@ -314,7 +292,7 @@ class _Parser:
         else:
             self.expect_punct("(")
             args = [self.parse_binary()]
-            while self.at_punct(","):
+            while self.peek().lexeme == ",":
                 self.advance()
                 args.append(self.parse_binary())
             self.expect_punct(")")

@@ -166,19 +166,21 @@ def test_criterion_6_symmetric_power_identities():
                       "degenerate"):
         for p in (3, 5, 7):
             params = make_params(p, 2)
-            for rep in (sympow.verify_somesome(params),
-                        sympow.verify_manyi_ccom(params),
-                        sympow.verify_triangles(params)):
+            maps = sympow.morphism_table(params)
+            for rep in (sympow.verify_somesome(params, maps),
+                        sympow.verify_manyi_ccom(params, maps),
+                        sympow.verify_triangles(params, maps)):
                 assert rep.passed, rep.failures()
         params = make_params(2, 2)
-        somesome = sympow.verify_somesome(params)
+        maps = sympow.morphism_table(params)
+        somesome = sympow.verify_somesome(params, maps)
         assert somesome.passed
         assert any("vacuous" in detail for _, _, detail in somesome.checks)
-        ccom = sympow.verify_manyi_ccom(params)
+        ccom = sympow.verify_manyi_ccom(params, maps)
         assert ccom.passed
         assert any("degenerate" in name or "degenerate" in detail
                    for name, _, detail in ccom.checks)
-        assert sympow.verify_triangles(params).passed
+        assert sympow.verify_triangles(params, maps).passed
 
 
 def test_criterion_7_steenrod_audits():

@@ -408,6 +408,16 @@ HOSTILE_ARGV = {
     "params at n=10^18": (["params", "-p", "3", "-n", str(10**18)], 2,
                           "symbol too large: p^(n+1) would pass 10000 bits "
                           f"at p=3 n={10**18}"),
+    # non-ASCII digits and letters are no tokens
+    "eval of a superscript digit": (
+        ["eval", "-p", "3", "-n", "1", "E(\u00b2,1)"], 2,
+        "syntax error at line 1 column 3: expected a token, not '\u00b2'"),
+    "eval of an Arabic-Indic digit": (
+        ["eval", "-p", "3", "-n", "1", "H^\u0663"], 2,
+        "syntax error at line 1 column 3: expected a token, not '\u0663'"),
+    "eval of a Greek letter": (
+        ["eval", "-p", "3", "-n", "1", "\u03c3 + 1"], 2,
+        "syntax error at line 1 column 1: expected a token, not '\u03c3'"),
     "rationality audit at s=10^18": (["audit", "-p", "3", "-n", "2",
                                       "--rationality", "-m", "1", "-s",
                                       str(10**18)], 2,

@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rostcalc.corresp import Corr, basis, rho, rost_projector, sigma
 from rostcalc.endalg import EndTuple
 from rostcalc.exprlang import (
     MAX_DEPTH,
     MAX_LITERAL_DIGITS,
+    _PUNCT,
     EvalError,
     ExprSyntaxError,
+    Token,
     evaluate,
     parse,
     to_source,
@@ -76,6 +78,81 @@ def test_tokenize_second_line():
     toks = tokenize("sigma +\n  rho")
     t = [t for t in toks if t.lexeme == "rho"][0]
     assert (t.line, t.column) == (2, 3)
+
+
+def char_walk(src):
+    """The character-by-character tokenizer the regex one replaced: the
+    oracle for tokenize on ASCII input."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        start = col
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(Token("IDENT", src[i:j], line, start))
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and src[j].isdigit():
+                j += 1
+            if j + 1 < n and src[j] == "/" and src[j + 1].isdigit():
+                j += 2
+                while j < n and src[j].isdigit():
+                    j += 1
+                tokens.append(Token("RATIONAL", src[i:j], line, start))
+            else:
+                tokens.append(Token("INT", src[i:j], line, start))
+        else:
+            lexeme = src[i:i + 2] if src[i:i + 2] in _PUNCT else ch
+            if lexeme not in _PUNCT:
+                raise ExprSyntaxError(line, col, f"a token, not {ch!r}")
+            j = i + len(lexeme)
+            tokens.append(Token("PUNCT", lexeme, line, start))
+        col += j - i
+        i = j
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+def tokens_or_error(tokenizer, src):
+    try:
+        return tokenizer(src)
+    except ExprSyntaxError as err:
+        return (err.line, err.column, err.expected)
+
+
+# grammar characters, blanks and newlines, and the stray "/", "$" and ".";
+# few letters and digits, so that "_", "/" and "^@" meet them often
+_GRAMMAR = "azAZ_059+-*@^(),"
+_BLANKS = " \t\r\n"
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet=_GRAMMAR + _BLANKS + "/$.", max_size=30))
+def test_tokenize_matches_char_walk_on_ascii(src):
+    assert tokens_or_error(tokenize, src) == tokens_or_error(char_walk, src)
+
+
+@given(st.text(alphabet=_GRAMMAR + _BLANKS, max_size=20),
+       st.characters(min_codepoint=128), st.text(max_size=10))
+def test_first_non_ascii_character_is_a_positioned_error(prefix, ch, rest):
+    line = prefix.count("\n") + 1
+    column = len(prefix) - prefix.rfind("\n")
+    with pytest.raises(ExprSyntaxError) as exc:
+        tokenize(prefix + ch + rest)
+    assert (exc.value.line, exc.value.column, exc.value.expected) == (
+        line, column, f"a token, not {ch!r}")
 
 
 # --- parser ------------------------------------------------------------------

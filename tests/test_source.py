@@ -23,6 +23,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_src_reads_ascii_only():
+    """No src module classifies characters with a str method that accepts
+    non-ASCII ones too ("\u00b2".isdigit(), "\u03c3".isalpha())."""
+    unicode_classes = {"isdigit", "isalpha", "isalnum", "isdecimal",
+                       "isnumeric"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in unicode_classes]
+    assert found == []
+
+
 def _identifiers(node):
     """The names, attribute names and identifier strings used in node (the
     benchmark's tracer names what it wraps by string)."""

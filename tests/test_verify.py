@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rostcalc import sympow, verify
+from rostcalc import rostchow, sympow, verify
 from rostcalc.endalg import EndTuple
 from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
@@ -116,6 +116,20 @@ def test_symmpow_suite_builds_each_morphism_table_once(monkeypatch, p):
     (report,) = run_suite("symmpow", params)
     assert report.passed
     assert built == {(i, params): 1 for i in range(1, p)}
+
+
+def test_motcoh_suite_builds_each_table_once(monkeypatch):
+    built = Counter()
+    for name in ("closed_form", "recurrence"):
+        engine = getattr(rostchow, name)
+
+        def counting(params, name=name, engine=engine):
+            built[name] += 1
+            return engine(params)
+        monkeypatch.setattr(rostchow, name, counting)
+    (report,) = run_suite("motcoh", make_params(7, 2))
+    assert report.passed
+    assert built == {"closed_form": 1, "recurrence": 1}
 
 
 def test_symmpow_report_lines_match_recorded():
