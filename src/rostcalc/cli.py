@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -21,7 +22,23 @@ from .splitring import make_params
 FORMATS = ("text", "json", "csv")
 
 
+# int() and Fraction() read any Unicode decimal digit; options take ASCII
+_INT = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _int(text):
+    try:
+        if _INT.fullmatch(text):
+            return int(text)
+    except ValueError:  # past Python's limit on digits
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _fraction(text):
+    if not _RATIONAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
@@ -38,8 +55,8 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(sp, with_e=True):
-        sp.add_argument("-p", type=int, required=True, help="prime")
-        sp.add_argument("-n", type=int, required=True, help="symbol length")
+        sp.add_argument("-p", type=_int, required=True, help="prime")
+        sp.add_argument("-n", type=_int, required=True, help="symbol length")
         if with_e:
             sp.add_argument("-e", type=_fraction, default=Fraction(1),
                             help="degree of the top power (p-unit)")
@@ -63,8 +80,8 @@ def build_parser():
     common(sp, with_e=False)
     sp.add_argument("--row", choices=("even", "odd"),
                     help="row family H^{2j,j} or H^{2j+1,j}")
-    sp.add_argument("--j", type=int, help="weight of the row")
-    sp.add_argument("--bidegree", type=int, nargs=2, metavar=("I", "J"),
+    sp.add_argument("--j", type=_int, help="weight of the row")
+    sp.add_argument("--bidegree", type=_int, nargs=2, metavar=("I", "J"),
                     help="a single bidegree (i, j)")
     fmt(sp)
 
@@ -86,9 +103,10 @@ def build_parser():
                       help="audit deg(b_i x b_j * S^s(sigma^(p-1)) * ...)")
     mode.add_argument("--generators", action="store_true",
                       help="audit the order of deg(bY_i * S(sigma^r))")
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-s", type=int, help="total Steenrod degree (rationality)")
-    sp.add_argument("-r", type=int, help="sigma power (generators)")
+    sp.add_argument("-m", type=_int, required=True)
+    sp.add_argument("-s", type=_int,
+                    help="total Steenrod degree (rationality)")
+    sp.add_argument("-r", type=_int, help="sigma power (generators)")
     fmt(sp)
     return top
 

@@ -13,7 +13,12 @@ second, or thirds only.  So the audits never materialise terms.  A row
 (i, j) of the budget splits its l into runs with one verdict regime each
 (l = 0 and the l with k = s alone, the stretches between them whole), and a
 run has one case per non-empty bucket, classified through one product and
-weighted by prefix sums over l; its ``range`` names the l it covers.
+weighted by prefix sums over l; its ``range`` names the l it covers.  A
+verdict reads its row only through the budget, whether it is the leading
+row, whether b divides i and whether j > 0, so a rationality audit has one
+case set per row class of rows that agree on these, named by the first row
+of the class and weighted by its row count; the rows with a Chern index
+past d are one zero case.
 
 The verdicts are:
 
@@ -24,9 +29,9 @@ The verdicts are:
                          classes), certified by a trace of rule applications.
 
 Every rule application names the atoms it uses, and ``replay`` re-checks all
-premises over each run's whole range and recounts every weight in closed
-form, so a report can be audited without trusting the case split that
-produced it.
+premises over each run's whole range and recounts every weight and row
+class in closed form, so a report can be audited without trusting the case
+split that produced it.
 """
 
 from dataclasses import dataclass
@@ -52,8 +57,9 @@ ATOM_KINDS = ("sigma", "theta", "second", "third", "chern_x", "chern_y")
 _RATIONAL = frozenset({"second", "third", "chern_x", "chern_y"})
 
 #: the largest dimension d = p^n - 1 the audits and their argument grids
-#: take.  A rationality audit has (d + s)(d + s + 1) / 2 rows (i, j) of at
-#: most 14 cases each; at (11, 2), d = 120, the s = 120 audit has 53,862
+#: take.  A rationality audit has (d + s)(d + s + 1) / 2 rows (i, j) in at
+#: most 3(d + s) + 1 row classes of at most 14 cases each; at (11, 2),
+#: d = 120, the s = 120 audit has 28,920 rows in 587 classes, and 1,636
 #: cases standing for 4.3 * 10^9 terms.
 MAX_AUDIT_DIM = 128
 
@@ -440,10 +446,12 @@ def valuation_bound(prod):
 
 
 class AuditCase(NamedTuple):
-    """One verdict over a run of l values: ``index`` is the (i, j, k, l)
-    of its representative ((i, j) in a generators audit), ``range`` the l
-    it covers and ``weight`` the number of expansion terms it stands for
-    (one per l for an unexpanded zero)."""
+    """One verdict over a run of l values and a row class: ``index`` is the
+    (i, j, k, l) of its representative, (i, j) the first row of the class
+    ((i, j) alone in a generators audit, where each row is a class),
+    ``range`` the l it covers and ``weight`` the number of expansion terms
+    it stands for over all rows of the class (one per l and row for an
+    unexpanded zero)."""
 
     index: tuple
     product: SteenProduct
@@ -581,6 +589,30 @@ def _row_plan(r, p, top, budget, l_s):
     return tuple(plan)
 
 
+def _row_classes(d, b, s):
+    """The row classes of a rationality audit at s, as [i, j, n] in row
+    order (i outer, j inner) of their first rows (i, j): the rows within d
+    that agree on their budget d + s - i - j, on being the leading row
+    (d, 0), on b | i and on j > 0, n of them, and the rows with i or j
+    above d, whose n is their number of terms, the sum of budget + 1."""
+    total, classes, overflow = d + s, [], 0
+    for t in range(1, total + 1):  # t = i + j, so the budget is total - t
+        lo, hi = max(1, t - d), min(d, t)
+        overflow += (t - 1 - hi + lo) * (total - t + 1)
+        here = {}
+        for i in range(lo, hi + 1):
+            key = (i == d and i == t, i % b == 0, i < t)
+            if key in here:
+                here[key][2] += 1
+            else:
+                here[key] = [i, t - i, 1]
+        classes += here.values()
+    if overflow:
+        # the first row past d: (1, d + 1) once j can pass d, else (d + 1, 0)
+        classes.append([1, d + 1, overflow] if s > 1 else [d + 1, 0, overflow])
+    return sorted(classes)
+
+
 def _case(index, rep, ctx, run, weight, leading):
     """The audit case of a zero verdict, or of a bucket product classified
     in the context ``ctx``."""
@@ -639,11 +671,12 @@ def audit_rationality(params, m, s):
     rational modulo the ideal p^2*CH + p*(rational classes).
 
     Enumerates the budget i + j + k + l = d + s with i >= 1, expands the
-    sigma-power factor, and classifies every term, row by row: a row (i, j)
-    has one Chern-overflow zero if i or j exceeds d, else one zero for the
-    l whose S^k is invalid and the cases of its runs.  Passes iff the single
-    leading term (i = d, j = l = 0, k = s) has valuation exactly 1 and every
-    other term is Zero or ValAtLeast(2).
+    sigma-power factor, and classifies every term, row class by row class
+    (``_row_classes``): the rows with i or j above d have one Chern-overflow
+    zero, and any other class one zero for the l whose S^k is invalid and
+    the cases of its runs, classified on its first row.  Passes iff the
+    single leading term (i = d, j = l = 0, k = s) has valuation exactly 1
+    and every other term is Zero or ValAtLeast(2).
     """
     _check_audit_size(params)
     p, b, d = params.p, params.b, params.d
@@ -669,23 +702,22 @@ def audit_rationality(params, m, s):
     total, step = d + s, p - 1
     chern = [_atom("chern_x", i) for i in range(d + 1)]
     cases = []
-    for i in range(1, total + 1):
-        for j in range(total - i + 1):
-            budget = total - i - j
-            if i > d or j > d:
-                cases.append(AuditCase((i, j, budget, 0), None,
-                                       _ZERO["chern-index-overflow"], False,
-                                       range(budget + 1), budget + 1))
-                continue
-            here = None
-            for run, l, rep, weight in _row_plan(step, p, 2 * d, budget,
-                                                 budget - s):
-                if l != here:
-                    here, ctx = l, _new(PairingContext, (
-                        "rationality", params, m, s, step, i, j, budget - l,
-                        l, (chern[i], chern[j])))
-                cases.append(_case((i, j, budget - l, l), rep, ctx, run,
-                                   weight, i == d and j == 0 and l == 0))
+    for i, j, rows in _row_classes(d, b, s):
+        budget = total - i - j
+        if i > d or j > d:
+            cases.append(_new(AuditCase, (
+                (i, j, budget, 0), None, _ZERO["chern-index-overflow"], False,
+                range(budget + 1), rows)))
+            continue
+        here = None
+        for run, l, rep, weight in _row_plan(step, p, 2 * d, budget,
+                                             budget - s):
+            if l != here:
+                here, ctx = l, _new(PairingContext, (
+                    "rationality", params, m, s, step, i, j, budget - l,
+                    l, (chern[i], chern[j])))
+            cases.append(_case((i, j, budget - l, l), rep, ctx, run,
+                               weight * rows, i == d and j == 0 and l == 0))
 
     ok, conclusion, tallies = _conclude(
         cases, support,
@@ -867,6 +899,35 @@ def _row_tiled(span, ks_valid, runs):
     return not gaps and start == ks_valid[-1] + step
 
 
+def _recount_class(params, s, i, j):
+    """(key, n, first, terms) of the class of the row (i, j) in a
+    rationality audit at s, in closed form: a key that no other class of
+    the audit has, its number n of rows, whether (i, j) is its first row
+    in row order, and its number of terms when each row counts budget + 1.
+    At i + j = t the rows within d are the (i', t - i') with max(1, t - d)
+    <= i' <= min(d, t): the single row (t, 0), and the i' < t with b | i',
+    or with b not dividing i'.  The s^2 rows past d, i = d + a with j <= s
+    - a and j = d + a with i <= s - a, are one class of sum(u^2, u <= s)
+    terms."""
+    d, b = params.d, params.b
+    if i > d or j > d:
+        first = (1, d + 1) if s > 1 else (d + 1, 0)
+        return None, s * s, (i, j) == first, s * (s + 1) * (2 * s + 1) // 6
+    t, budget = i + j, d + s - i - j
+    if j == 0:
+        return (t, i == d, i % b == 0, False), 1, True, budget + 1
+    lo, b_div = max(1, t - d), i % b == 0
+
+    def rows(last):
+        """The rows of the class with i' <= last."""
+        hi = min(d, t - 1, last)
+        mult = hi // b - (lo - 1) // b
+        return mult if b_div else hi - lo + 1 - mult
+
+    n = rows(d)
+    return (t, False, b_div, True), n, rows(i - 1) == 0, n * (budget + 1)
+
+
 def replay(report):
     """Re-check every verdict's premises over its whole run and every
     weight in closed form, independently of the enumeration, and recount
@@ -874,6 +935,19 @@ def replay(report):
     and l give, x-decomp-vanishes needs k != s all along the run, and l = 0
     is a run of its own.  The cases of a row come together, those of a run
     too, and the runs of a row partition its l.
+
+    In a rationality audit the row of a case set is the first row of its
+    class (see ``_recount_class``), and the case set stands for every row
+    of the class: its weights are the class's row count times those of one
+    row, and the Chern-overflow zero of the class past d weighs all of its
+    terms.  Replay recounts the classes in closed form, and checks that no
+    class comes twice, that each is named by its first row and that they
+    cover all (d + s)(d + s + 1)/2 rows.  A check on the first row holds
+    on every row of its class: the leading row is a class of its own; the
+    zero reasons read only the budget, b | i and j = 0; the contexts, runs
+    and weights only the budget; and the atoms a rule names are chern_x of
+    index i >= 1, and of index j exactly when j > 0, so they are rational
+    and of positive codimension on every row of the class as on the first.
     """
     out = CheckReport(f"replay: {report.title}")
     if not report.cases:
@@ -887,7 +961,7 @@ def replay(report):
     dim_y = p ** m - 1 if kind == "generators" else None
     xdecomp = [_xdecomp_vanishes(kind, params, m, s, at_s)
                for at_s in (False, True)]
-    seen, tallies = set(), [0, 0, 0]
+    seen, tallies, covered = set(), [0, 0, 0], 0
     n_leading = bad_zero = bad_rules = bad_exact = bad_weight = 0
     for row, cases in groupby(report.cases, key=lambda case: case.index[:2]):
         i, j = row
@@ -895,15 +969,19 @@ def replay(report):
             span = range(d + s - i - j + 1)
             ks_valid = range(span[-1] % step, span[-1] + 1, step)
             chern = (_atom("chern_x", i), _atom("chern_x", j))
+            key, rows, first, terms = _recount_class(params, s, i, j)
         elif kind == "generators" and 0 <= j == dim_y - i:
             span = ks_valid = range(j, j + step, step)
             chern = (_atom("chern_y", i),)
+            key, rows, first, terms = row, 1, True, 1
         else:
             span = None
-        if not span or row in seen:
+        if not span or key in seen:
             bad_weight += 1
             continue
-        seen.add(row)
+        seen.add(key)
+        covered += rows
+        bad_weight += not first
         runs, last_run = [], None
         for _, prod, v, leading, run, weight in cases:
             slot = _SLOT.get(type(v), 2)
@@ -924,8 +1002,9 @@ def replay(report):
                 continue
             third_only = None
             if prod is None:
-                recount = (len(span) - len(ks_valid) if cover == "invalid"
-                           else len(run))
+                recount = (terms if cover == "all" else rows * (
+                    len(span) - len(ks_valid) if cover == "invalid"
+                    else len(run)))
             else:
                 atoms, ctx = prod.atoms, prod.context
                 _, n_theta, n_second, n_third = _atom_tally(atoms)[0]
@@ -934,7 +1013,7 @@ def replay(report):
                     weights, entry[3] = _closed_run(r, p, run[0], run[-1])
                 bucket = _bucket(n_theta, n_second)
                 buckets.append(bucket)
-                recount = weights[bucket]
+                recount = rows * weights[bucket]
                 if ctx is not last_ctx:
                     # the cases of a run share a context, checked once
                     l, last_ctx = ctx.l, ctx
@@ -959,9 +1038,11 @@ def replay(report):
                 bad_rules += (need is None or need[1] and not xdecomp[at_s]
                               or any(a not in atoms and a not in chern
                                      for a in need[0]))
-        bad_weight += not _row_tiled(span, ks_valid, runs)
+        # the class past d is one Chern-overflow zero
+        bad_weight += not _row_tiled(span, ks_valid, runs) or (
+            key is None and runs[0][0] != "all")
     n_rows = (d + s) * (d + s + 1) // 2 if kind == "rationality" else dim_y + 1
-    bad_weight += n_rows - len(seen)
+    bad_weight += covered != n_rows
     tallies = tuple(tallies)
     out.add("exactly one leading case", n_leading == 1)
     out.add("zero reasons justified", bad_zero == 0, f"{bad_zero} bad")

@@ -418,6 +418,41 @@ HOSTILE_ARGV = {
     "eval of a Greek letter": (
         ["eval", "-p", "3", "-n", "1", "\u03c3 + 1"], 2,
         "syntax error at line 1 column 1: expected a token, not '\u03c3'"),
+    # options read ASCII digits only: int() and Fraction() take any digit
+    "params with Arabic-Indic -p -n -e": (
+        ["params", "-p", "\u0663", "-n", "\u0661", "-e", "\u0664"], 2,
+        "rostcalc params: error: argument -p: invalid int value: '\u0663'"),
+    "params with an Arabic-Indic -n": (
+        ["params", "-p", "3", "-n", "\u0661"], 2,
+        "rostcalc params: error: argument -n: invalid int value: '\u0661'"),
+    "params with an Arabic-Indic -e": (
+        ["params", "-p", "3", "-n", "1", "-e", "\u0664/5"], 2,
+        "rostcalc params: error: argument -e: invalid fraction value: "
+        "'\u0664/5'"),
+    "params with a decimal -e": (
+        ["params", "-p", "3", "-n", "1", "-e", "0.5"], 2,
+        "rostcalc params: error: argument -e: invalid fraction value: "
+        "'0.5'"),
+    "rationality audit with a Devanagari -m": (
+        ["audit", "-p", "3", "-n", "2", "--rationality", "-m", "\u0967",
+         "-s", "2"], 2,
+        "rostcalc audit: error: argument -m: invalid int value: '\u0967'"),
+    "rationality audit with a fullwidth -s": (
+        ["audit", "-p", "3", "-n", "2", "--rationality", "-m", "1", "-s",
+         "\uff12"], 2,
+        "rostcalc audit: error: argument -s: invalid int value: '\uff12'"),
+    "generators audit with an Arabic-Indic -r": (
+        ["audit", "-p", "3", "-n", "2", "--generators", "-m", "1", "-r",
+         "\u0661"], 2,
+        "rostcalc audit: error: argument -r: invalid int value: '\u0661'"),
+    "motcoh with an Arabic-Indic --j": (
+        ["motcoh", "-p", "3", "-n", "2", "--row", "even", "--j",
+         "\u0664"], 2,
+        "rostcalc motcoh: error: argument --j: invalid int value: '\u0664'"),
+    "motcoh with an Arabic-Indic --bidegree": (
+        ["motcoh", "-p", "3", "-n", "2", "--bidegree", "4", "\u0662"], 2,
+        "rostcalc motcoh: error: argument --bidegree: invalid int value: "
+        "'\u0662'"),
     "rationality audit at s=10^18": (["audit", "-p", "3", "-n", "2",
                                       "--rationality", "-m", "1", "-s",
                                       str(10**18)], 2,
@@ -453,13 +488,18 @@ def run_capped(seconds, *argv):
 # name -> (seconds, argv, exit code, a line of stdout or of stderr)
 SLOW_ARGV = {
     "rationality audit at (5,3) s=124": (
-        3, ["audit", "-p", "5", "-n", "3", "--rationality", "-m", "0", "-s",
+        1, ["audit", "-p", "5", "-n", "3", "--rationality", "-m", "0", "-s",
             "124"], 0, "cases: 1321209811 (zero=2455969, "
                        "at-least=1318753841, exact=1)"),
     "rationality audit at (11,2) s=120": (
-        3, ["audit", "-p", "11", "-n", "2", "--rationality", "-m", "0", "-s",
+        1, ["audit", "-p", "11", "-n", "2", "--rationality", "-m", "0", "-s",
             "120"], 0, "cases: 4309930229 (zero=2315605, "
                        "at-least=4307614623, exact=1)"),
+    # d = 127: the largest p = 2 audit in bound
+    "rationality audit at (2,7) s=127": (
+        1, ["audit", "-p", "2", "-n", "7", "--rationality", "-m", "0", "-s",
+            "127"], 0, "cases: 6876288 (zero=707134, at-least=6169153, "
+                       "exact=1)"),
     "params at p = 2^61 - 1": (
         1, ["params", "-p", str(2**61 - 1), "-n", "1"], 0,
         f"d = {2**61 - 2}"),

@@ -424,11 +424,14 @@ def test_rationality_case_spot_checks():
 
 
 def test_rationality_row_spot_checks():
-    """The runs and cases of single rows of a row-level report."""
+    """The runs and cases of single row classes of a report."""
     pr = make_params(3, 2)  # b = 4, d = 8
-    by_row = {}
-    for case in audit_rationality(pr, 2, 2).cases:
+    report = audit_rationality(pr, 2, 2)
+    by_row, oracle = {}, {}
+    for case in report.cases:
         by_row.setdefault(case.index[:2], []).append(case)
+    for case in _row_cases(report):
+        oracle.setdefault(case.index[:2], []).append(case)
 
     def summary(row):
         return [(c.verdict.reason if isinstance(c.verdict, Zero) else
@@ -436,8 +439,22 @@ def test_rationality_row_spot_checks():
                  if isinstance(c.verdict, ValAtLeast) else "exact",
                  c.range, c.weight) for c in by_row[row]]
 
-    # i > d: one overflow zero for the whole row, budget 10 - 9 - 0 = 1
-    assert summary((9, 0)) == [("chern-index-overflow", range(2), 2)]
+    # i or j > d: one overflow zero for the s^2 = 4 rows past d, named by
+    # the first, (1, 9) with budget 0, and weighing budget + 1 terms of each
+    # of (1, 9), (9, 0), (9, 1) and (10, 0)
+    assert summary((1, 9)) == [("chern-index-overflow", range(1), 5)]
+    assert [(c.index, c.weight) for c in oracle[(1, 9)] + oracle[(9, 0)]
+            + oracle[(9, 1)] + oracle[(10, 0)]] == [
+        ((1, 9, 0, 0), 1), ((9, 0, 1, 0), 2), ((9, 1, 0, 0), 1),
+        ((10, 0, 0, 0), 1)]
+    assert (9, 0) not in by_row
+    # i + j = 5: (1, 4), (2, 3) and (3, 2) are one class of three rows,
+    # (4, 1) and (5, 0) classes of their own
+    assert [c.weight for c in by_row[(1, 4)]] == [
+        3 * c.weight for c in oracle[(1, 4)]]
+    assert (2, 3) not in by_row and (3, 2) not in by_row
+    assert by_row[(4, 1)] == oracle[(4, 1)]
+    assert by_row[(5, 0)] == oracle[(5, 0)]
     # budget 9: the l with even k are the odd l, and S^l is empty there
     assert summary((1, 0)) == [("steenrod-index-invalid", range(10), 5),
                                ("cartan-empty", range(1, 10, 2), 5)]
@@ -613,6 +630,81 @@ def _tallies_by_index(cases, p, terms):
     return out
 
 
+def _row_cases(report):
+    """The row-level oracle of a rationality report: the audit's cases
+    before row classes, the cases of each row (i, j) in row order, and a
+    Chern-overflow zero of weight budget + 1 for each row past d."""
+    params, args = report.params, dict(report.args)
+    m, s = args["m"], args["s"]
+    p, d = params.p, params.d
+    total, step = d + s, p - 1
+    cases = []
+    for i in range(1, total + 1):
+        for j in range(total - i + 1):
+            budget = total - i - j
+            if i > d or j > d:
+                cases.append(AuditCase((i, j, budget, 0), None,
+                                       Zero("chern-index-overflow"), False,
+                                       range(budget + 1), budget + 1))
+                continue
+            chern = (SteenAtom("chern_x", i), SteenAtom("chern_x", j))
+            for run, l, rep, weight in steenrod._row_plan(
+                    step, p, 2 * d, budget, budget - s):
+                ctx = PairingContext("rationality", params, m, s, step, i, j,
+                                     budget - l, l, chern)
+                cases.append(steenrod._case(
+                    (i, j, budget - l, l), rep, ctx, run, weight,
+                    i == d and j == 0 and l == 0))
+    return cases
+
+
+def _class_key(report, i, j):
+    """The row class of the row (i, j) of a rationality report: None past
+    d, else what a verdict reads of the row (its budget, whether it is the
+    leading row, whether b divides i and whether j > 0)."""
+    d, b, s = report.params.d, report.params.b, dict(report.args)["s"]
+    if i > d or j > d:
+        return None
+    return d + s - i - j, i == d and j == 0, i % b == 0, j > 0
+
+
+def _class_members(report):
+    """Per class key, the rows of the class in row order; the classes in
+    the row order of their first rows."""
+    total = report.params.d + dict(report.args)["s"]
+    members = {}
+    for i in range(1, total + 1):
+        for j in range(total - i + 1):
+            members.setdefault(_class_key(report, i, j), []).append((i, j))
+    return members
+
+
+def _expand_classes(report):
+    """The row-level cases a report stands for: each case of a class's
+    case set once per row of the class, its weight divided by the class
+    size, and the Chern-overflow zero once per row past d with weight
+    budget + 1.  A generators report has a case set per row already."""
+    if report.kind != "rationality":
+        return list(report.cases)
+    members = _class_members(report)
+    total = report.params.d + dict(report.args)["s"]
+    out = []
+    for case in report.cases:
+        rows = members[_class_key(report, *case.index[:2])]
+        if case.verdict == Zero("chern-index-overflow"):
+            budgets = [total - i - j for i, j in rows]
+            assert case.weight == sum(budget + 1 for budget in budgets)
+            out += [case._replace(index=(i, j, budget, 0),
+                                  range=range(budget + 1), weight=budget + 1)
+                    for (i, j), budget in zip(rows, budgets)]
+            continue
+        assert case.weight % len(rows) == 0
+        out += [case._replace(index=row + case.index[2:],
+                              weight=case.weight // len(rows))
+                for row in rows]
+    return out
+
+
 def _row_tallies(cases):
     """Per row (i, j), the weighted (zero, at-least, exact) tallies."""
     out = {}
@@ -665,17 +757,86 @@ def test_class_tallies_match_term_oracle():
 
 
 def test_row_tallies_match_class_oracle():
-    """Row by row and slot by slot, the row-level audit weighs its runs as
-    the class-level oracle weighs its classes."""
+    """Row by row and slot by slot, the audit's row classes, expanded back
+    into their rows, weigh their runs as the class-level oracle weighs its
+    classes."""
     grouped = 0
     for report in _oracle_audits():
-        assert _row_tallies(report.cases) == _row_tallies(
+        rows = _expand_classes(report)
+        assert _row_tallies(rows) == _row_tallies(
             _class_cases(report)), report.title
         # the tallies the audit carries are the weighted recount
         assert report.counts() == _weighted_counts(report), report.title
         assert replay(report).passed, report.title
-        grouped += sum(len(c.range) > 1 for c in report.cases)
+        grouped += sum(len(c.range) > 1 for c in rows)
     assert grouped > 1000
+
+
+def _shape(case):
+    """What a case says of its row, but for the Chern indices: its k and l,
+    range, weight and leading flag, its product without the context, and
+    its verdict with the kind and positive codimension of each atom a rule
+    names."""
+    v, prod = case.verdict, case.product
+    rules = tuple((app.rule, tuple((a.kind, a.poscodim) for a in app.atoms))
+                  for app in getattr(v, "rules", ()))
+    return (case.index[2:], case.range, case.weight, case.leading,
+            prod and (prod.atoms, prod.scalar, prod.weight),
+            _verdict_key(v), rules)
+
+
+def _rationality_oracle_audits():
+    """The rationality audits of _oracle_audits, and sampled (11,2)
+    audits."""
+    yield from (rep for rep in _oracle_audits() if rep.kind == "rationality")
+    pr = make_params(11, 2)
+    for m, s in ((0, 0), (20, 90), (0, 120)):
+        yield audit_rationality(pr, m, s)
+
+
+def test_classes_match_row_oracle():
+    """Class by class, the audit's case sets are the row-level oracle's:
+    one case set per class, in the row order of the first rows that name
+    them; a class's cases are its first row's with every weight times the
+    class size, and every other row of the class has cases of the same
+    shape; the Chern-overflow zero weighs every row past d."""
+    for report in _rationality_oracle_audits():
+        row_cases, oracle, sets = _row_cases(report), {}, {}
+        for case in row_cases:
+            oracle.setdefault(case.index[:2], []).append(case)
+        for case in report.cases:
+            sets.setdefault(case.index[:2], []).append(case)
+        members = _class_members(report)
+        assert list(sets) == [rows[0] for rows in members.values()]
+        for key, rows in members.items():
+            first = oracle[rows[0]]
+            if key is None:
+                assert sets[rows[0]] == [first[0]._replace(
+                    weight=sum(oracle[row][0].weight for row in rows))]
+                continue
+            assert sets[rows[0]] == [c._replace(weight=c.weight * len(rows))
+                                     for c in first], (report.title, rows)
+            for row in rows[1:]:
+                assert list(map(_shape, oracle[row])) == list(
+                    map(_shape, first)), (report.title, row)
+        assert report.tallies == _retallied(report, row_cases).tallies
+        check = replay(report)
+        assert check.passed, (report.title, check.failures())
+
+
+def test_m_never_reaches_a_verdict():
+    """On full grids, every m gets the tallies, verdict, leading case and
+    conclusion of the smallest m with its s."""
+    for p, n in ((2, 3), (3, 2), (2, 4)):
+        pr = make_params(p, n)
+        by_s, repeats = {}, 0
+        for m, s in rationality_arguments(pr):
+            rep = audit_rationality(pr, m, s)
+            got = (rep.tallies, rep.passed, rep.leading.describe(),
+                   rep.conclusion)
+            repeats += s in by_s
+            assert by_s.setdefault(s, got) == got, (p, n, m, s)
+        assert repeats > len(by_s)
 
 
 def test_records_are_real_instances():
@@ -748,6 +909,30 @@ def test_failing_case_named_in_conclusion(monkeypatch):
     first = next(c for c in rep.cases
                  if isinstance(c.verdict, ValAtLeast) and c.verdict.value == 1)
     assert f"case {first.index}: val>=1 via " in rep.conclusion
+
+
+@pytest.mark.parametrize("rules", [
+    ["split-pairing"], ["theta-carries-p", "rational-pairing"],
+    ["rational-pairing", "x-decomp-vanishes"]])
+def test_first_offender_matches_row_oracle(monkeypatch, rules):
+    """A fault that weakens every verdict of some rules fails the audit at
+    the case where it first fails the row-level oracle."""
+    honest = steenrod.valuation_bound
+
+    def weakened(prod):
+        v = honest(prod)
+        if isinstance(v, ValAtLeast) and [r.rule for r in v.rules] == rules:
+            return ValAtLeast(1, v.rules)
+        return v
+
+    monkeypatch.setattr(steenrod, "valuation_bound", weakened)
+    for symbol, args in (((3, 2), (2, 2)), ((2, 3), (3, 5))):
+        rep = audit_rationality(make_params(*symbol), *args)
+        first = next(c for c in _row_cases(rep)
+                     if getattr(c.verdict, "value", 0) == 1
+                     and not c.leading)
+        assert not rep.passed
+        assert f"(first: case {first.index}: val>=1 via " in rep.conclusion
 
 
 def test_replay_recounts_class_weights():
@@ -996,6 +1181,138 @@ def test_replay_rejects_perturbed_row(name, symbol, args):
     assert replay(rep).passed
     check = replay(perturb(rep))
     assert [name for name, _ in check.failures()] == [line]
+
+
+def _class_sets(rep):
+    """(start, stop, rows) of each case set of a rationality report: its
+    positions in the cases and the rows of its class."""
+    members, cases = _class_members(rep), rep.cases
+    out, start = [], 0
+    for n in range(1, len(cases) + 1):
+        if n == len(cases) or cases[n].index[:2] != cases[start].index[:2]:
+            key = _class_key(rep, *cases[start].index[:2])
+            out.append((start, n, members[key]))
+            start = n
+    return out
+
+
+def _multi_row_class(rep):
+    """The case set of the first class within d of more than one row."""
+    return next((a, b, rows) for a, b, rows in _class_sets(rep)
+                if len(rows) > 1 and _class_key(rep, *rows[0]) is not None)
+
+
+def _reweighed(cases, rows, n):
+    """The cases of a class of ``rows`` rows, weighed as if it had n."""
+    return [c._replace(weight=c.weight // rows * n) for c in cases]
+
+
+def _moved(case, row):
+    """A case moved to another row of its class, with that row's index,
+    context and verdict."""
+    i, j = row
+    if case.product is None:
+        return case._replace(index=row + case.index[2:])
+    chern = (SteenAtom("chern_x", i), SteenAtom("chern_x", j))
+    prod = case.product._replace(
+        context=case.product.context._replace(i=i, j=j, chern=chern))
+    return case._replace(index=row + case.index[2:], product=prod,
+                         verdict=valuation_bound(prod))
+
+
+def _class_size_off_by_one(rep):
+    """A class's case set weighed as if the class had one more row."""
+    a, b, rows = _multi_row_class(rep)
+    cases = list(rep.cases)
+    return _retallied(rep, cases[:a] + _reweighed(cases[a:b], len(rows),
+                                                  len(rows) + 1) + cases[b:])
+
+
+def _split_class(rep):
+    """A class as two case sets: one for its first row, one for the other
+    rows, named by the second row."""
+    a, b, rows = _multi_row_class(rep)
+    cases = list(rep.cases)
+    head = _reweighed(cases[a:b], len(rows), 1)
+    tail = [_moved(c, rows[1])
+            for c in _reweighed(cases[a:b], len(rows), len(rows) - 1)]
+    return _retallied(rep, cases[:a] + head + tail + cases[b:])
+
+
+def _one_key_twice(rep):
+    """A class as two case sets named by its first row, one for that row
+    and one, at the end of the report, for the other rows."""
+    a, b, rows = _multi_row_class(rep)
+    cases = list(rep.cases)
+    return _retallied(rep, cases[:a] + _reweighed(cases[a:b], len(rows), 1)
+                      + cases[b:]
+                      + _reweighed(cases[a:b], len(rows), len(rows) - 1))
+
+
+def _named_by_second_row(rep):
+    """A class's case set named by the second row of the class."""
+    a, b, rows = _multi_row_class(rep)
+    cases = list(rep.cases)
+    return _retallied(rep, cases[:a] + [_moved(c, rows[1])
+                                        for c in cases[a:b]] + cases[b:])
+
+
+def _class_left_out(rep):
+    """The case set of a class within d of more than one row left out."""
+    a, b, _ = _multi_row_class(rep)
+    return _retallied(rep, rep.cases[:a] + rep.cases[b:])
+
+
+def _overflow_off_by_one(rep):
+    cases = list(rep.cases)
+    at = next(n for n, c in enumerate(cases)
+              if c.verdict == Zero("chern-index-overflow"))
+    cases[at] = cases[at]._replace(weight=cases[at].weight + 1)
+    return _retallied(rep, cases)
+
+
+def _j0_row_folded(rep):
+    """The case set of a row (t, 0) (the leading row aside) dropped and its
+    row counted in the class of the same budget and b | i with j > 0."""
+    sets = _class_sets(rep)
+    by_key = {_class_key(rep, *rows[0]): (a, rows) for a, _, rows in sets}
+    cases = list(rep.cases)
+    for budget, leading, b_div, j_pos in filter(None, by_key):
+        other = by_key.get((budget, False, b_div, True))
+        if not (j_pos or leading) and other:
+            drop = by_key[(budget, False, b_div, False)][0]
+            out = []
+            for a, b, rows in sets:
+                if a == other[0]:
+                    out += _reweighed(cases[a:b], len(rows), len(rows) + 1)
+                elif a != drop:
+                    out += cases[a:b]
+            return _retallied(rep, out)
+
+
+# name -> how to perturb the row classes of a report; each fails "class
+# weights recounted" alone
+CLASS_PERTURBATIONS = {
+    "class size off by one": _class_size_off_by_one,
+    "class split in two": _split_class,
+    "two case sets with one key": _one_key_twice,
+    "class named by its second row": _named_by_second_row,
+    "class left out": _class_left_out,
+    "overflow weight off by one": _overflow_off_by_one,
+    "rows with j = 0 and j > 0 in one case set": _j0_row_folded,
+}
+
+
+@pytest.mark.parametrize("symbol,args", [((3, 2), (2, 2)), ((2, 3), (3, 5))])
+@pytest.mark.parametrize("name", sorted(CLASS_PERTURBATIONS))
+def test_replay_rejects_perturbed_class(name, symbol, args):
+    rep = audit_rationality(make_params(*symbol), *args)
+    assert replay(rep).passed
+    perturbed = CLASS_PERTURBATIONS[name](rep)
+    assert perturbed.cases != rep.cases
+    check = replay(perturbed)
+    assert [name for name, _ in check.failures()] == [
+        "class weights recounted"]
 
 
 # --- the sweep script ---------------------------------------------------------------
