@@ -1,5 +1,7 @@
 """Sweep the p-divisibility audits over their full argument grids and
-summarize verdict counts and timing.  Exits 1 if any audit or replay fails.
+summarize verdict counts and timing: one rationality audit per Steenrod-
+valid s, its tallies counted once per m of its grid entry, and every
+generators audit.  Exits 1 if any audit or replay fails.
 
     python3 scripts/audit_sweep.py -p 3 -n 2
 """
@@ -24,17 +26,19 @@ def main():
     total = {"zero": 0, "at-least": 0, "exact": 0}
     failures = 0
     t0 = time.time()
-    rat_args = steenrod.rationality_arguments(params)
-    for m, s in rat_args:
-        report = steenrod.audit_rationality(params, m, s)
+    # an audit's verdicts do not read m, so each s is audited once, at the
+    # largest m of its grid entry, and counts once per m
+    grid = steenrod.rationality_grid(params)
+    for s, ms in grid:
+        report = steenrod.audit_rationality(params, ms[-1], s)
         if not report.passed:
             failures += 1
-            print(f"FAIL rationality m={m} s={s}: {report.conclusion}")
+            print(f"FAIL rationality s={s} m<={ms[-1]}: {report.conclusion}")
         if args.replay and not steenrod.replay(report).passed:
             failures += 1
-            print(f"FAIL replay rationality m={m} s={s}")
+            print(f"FAIL replay rationality s={s} m<={ms[-1]}")
         for key, count in report.counts().items():
-            total[key] += count
+            total[key] += count * len(ms)
     gen_args = steenrod.generators_arguments(params)
     for m, r in gen_args:
         report = steenrod.audit_generators(params, m, r)
@@ -49,8 +53,10 @@ def main():
     dt = time.time() - t0
 
     ncases = sum(total.values())
-    print(f"p={args.p} n={args.n}: {len(rat_args)} rationality + "
-          f"{len(gen_args)} generators arguments, {ncases} cases in {dt:.2f}s")
+    n_rat = sum(len(ms) for _, ms in grid)
+    print(f"p={args.p} n={args.n}: {n_rat} rationality arguments in "
+          f"{len(grid)} audits + {len(gen_args)} generators arguments, "
+          f"{ncases} cases in {dt:.2f}s")
     print(f"  verdicts: zero={total['zero']} at-least={total['at-least']} "
           f"exact={total['exact']}")
     print(f"  failures: {failures}")

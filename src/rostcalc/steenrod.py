@@ -37,6 +37,7 @@ split that produced it.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from operator import mul, sub
 from typing import NamedTuple
 
 from .arith import multinomial, val
@@ -623,22 +624,18 @@ def _case(index, rep, ctx, run, weight, leading):
                             weight))
 
 
-def rationality_arguments(params):
-    """All (m, s) the rationality audit claims: 0 <= m <= d, s a Steenrod-
-    valid index with (m - b)(p-1) < s <= d."""
+def rationality_grid(params):
+    """All (m, s) the rationality audit claims, as one (s, range of m) per
+    Steenrod-valid s in [0, d]: the m in [0, d] with s > (m - b)(p-1)."""
     _check_audit_size(params)
     p, b, d = params.p, params.b, params.d
-    return [(m, s)
-            for m in range(d + 1)
-            for s in range(0, d + 1, p - 1)
-            if s > (m - b) * (p - 1)]
+    return [(s, range(min(d, b - 1 + s // (p - 1)) + 1))
+            for s in range(0, d + 1, p - 1)]
 
 
 def generators_arguments(params):
     _check_audit_size(params)
-    return [(m, r)
-            for m in range(1, params.n)
-            for r in range(1, params.p)]
+    return [(m, r) for m in range(1, params.n) for r in range(1, params.p)]
 
 
 _RAT_PREMISES = ("top-chern-degree", "unit-pairing-degree")
@@ -797,18 +794,32 @@ def _partitions(n, q):
 
 
 @lru_cache(maxsize=None)
+def _closed_sums(r, p, size):
+    """Prefix sums over L < size of the per-bucket terms of S^l over r
+    factors, l = L(p-1), in closed form: S^l has P(L, q) compositions with
+    q <= r positive parts, each of 3^q terms, which ``_bucket_split(q)``
+    splits over the buckets.  sums[L] sums over the l below L(p-1)."""
+    columns = list(zip(*map(_bucket_split, range(r + 1))))
+    sums = [(0, 0, 0, 0)]
+    for big_l in range(size):
+        counts = [_partitions(big_l, q) for q in range(min(r, big_l) + 1)]
+        sums.append(tuple(prefix + sum(map(mul, counts, column))
+                          for prefix, column in zip(sums[-1], columns)))
+    return tuple(sums)
+
+
+@lru_cache(maxsize=None)
 def _closed_run(r, p, lo, last):
     """Per bucket, the terms of S^l over r factors over the l of the run
-    range(lo, last + 1, p - 1), and the buckets they fill, in closed form:
-    with L = l/(p-1), S^l has P(L, q) compositions with q <= r positive
-    parts (partitions of L into q parts), each of 3^q terms."""
-    weights = [0, 0, 0, 0]
-    for l in range(lo, last + 1, p - 1):
-        for q in range(min(r, l // (p - 1)) + 1) if l % (p - 1) == 0 else ():
-            for bucket, w in enumerate(_bucket_split(q)):
-                weights[bucket] += _partitions(l // (p - 1), q) * w
-    return tuple(weights), tuple(bucket for bucket in range(4)
-                                 if weights[bucket])
+    range(lo, last + 1, p - 1), and the buckets they fill: none unless p - 1
+    divides lo, else two lookups in a ``_closed_sums`` table of power-of-two
+    size.  Cached, as the classes of a budget and the m of an s share runs."""
+    step = p - 1
+    if lo % step:
+        return (0, 0, 0, 0), ()
+    sums = _closed_sums(r, p, 1 << (last // step).bit_length())
+    weights = tuple(map(sub, sums[last // step + 1], sums[lo // step]))
+    return weights, tuple(bucket for bucket in range(4) if weights[bucket])
 
 
 def _zero_holds(reason, row, run, span, third_only, report, args):
@@ -816,11 +827,10 @@ def _zero_holds(reason, row, run, span, third_only, report, args):
     ``row`` of l values ``span``; ``third_only`` is whether the case's
     product has only third factors (None without a product)."""
     params, (i, j) = report.params, row
-    p = params.p
     if reason == "cartan-empty":
         # no l of the run has a term, so none has a composition
-        r = p - 1 if report.kind == "rationality" else args["r"]
-        return not _closed_run(r, p, run[0], run[-1])[1]
+        r = params.p - 1 if report.kind == "rationality" else args["r"]
+        return not _closed_run(r, params.p, run[0], run[-1])[1]
     if report.kind != "rationality":
         return reason == "proj1-sigma-power-zero" and third_only is True
     if reason == "proj1-sigma-power-zero":
@@ -839,10 +849,9 @@ def _xdecomp_vanishes(kind, params, m, s, at_s):
     """Whether every summand of the point-splitting of x dies in a context
     of this kind, symbol, m and s, at k == s or not (``at_s``): the base
     one needs k = s, the twisted ones exceed the top index."""
-    if kind != "rationality" or at_s:
-        return False
     b, p = params.b, params.p
-    return all(s + rr * b > (m - rr * b) * (p - 1) for rr in range(1, p))
+    return kind == "rationality" and not at_s and all(
+        s + rr * b > (m - rr * b) * (p - 1) for rr in range(1, p))
 
 
 @lru_cache(maxsize=None)

@@ -190,7 +190,8 @@ def test_criterion_7_steenrod_audits():
         t0 = time.perf_counter()
         for p, n in [(2, 2), (2, 3), (3, 2)]:
             params = make_params(p, n)
-            args = steenrod.rationality_arguments(params)
+            args = [(m, s) for s, ms in steenrod.rationality_grid(params)
+                    for m in ms]
             assert args
             for m, s in args:
                 report = steenrod.audit_rationality(params, m, s)

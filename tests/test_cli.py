@@ -500,6 +500,24 @@ SLOW_ARGV = {
         1, ["audit", "-p", "2", "-n", "7", "--rationality", "-m", "0", "-s",
             "127"], 0, "cases: 6876288 (zero=707134, at-least=6169153, "
                        "exact=1)"),
+    # the full rationality grid, one audit per s, and every generators
+    # audit, each replayed
+    "steenrod verify at (5,3)": (
+        2, ["verify", "-p", "5", "-n", "3", "--suite", "steenrod"], 0,
+        "42/42 checks passed"),
+    "steenrod verify at (11,2)": (
+        2, ["verify", "-p", "11", "-n", "2", "--suite", "steenrod"], 0,
+        "25/25 checks passed"),
+    "steenrod verify at (2,6)": (
+        2, ["verify", "-p", "2", "-n", "6", "--suite", "steenrod"], 0,
+        "71/71 checks passed"),
+    "steenrod verify at (3,4)": (
+        2, ["verify", "-p", "3", "-n", "4", "--suite", "steenrod"], 0,
+        "49/49 checks passed"),
+    # 128 audits: 5.0-7.1 s as a capped process on a shared 2-core Xeon
+    "steenrod verify at (2,7)": (
+        10, ["verify", "-p", "2", "-n", "7", "--suite", "steenrod"], 0,
+        "136/136 checks passed"),
     "params at p = 2^61 - 1": (
         1, ["params", "-p", str(2**61 - 1), "-n", "1"], 0,
         f"d = {2**61 - 2}"),

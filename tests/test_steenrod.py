@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import child_env
 from rostcalc import steenrod
-from rostcalc.arith import multinomial
+from rostcalc.arith import is_prime, multinomial
 from rostcalc.splitring import make_params
 from rostcalc.steenrod import (
     MAX_AUDIT_DIM,
@@ -31,7 +31,7 @@ from rostcalc.steenrod import (
     audit_rationality,
     cartan_expand,
     generators_arguments,
-    rationality_arguments,
+    rationality_grid,
     replay,
     steen_index_valid,
     substitute_dcmp,
@@ -253,6 +253,14 @@ def test_closed_form_bucket_weights_match_cartan_expand():
                 for prod in _substitute_terms(cartan_expand(r, l, p)):
                     want[_bucket_index(prod)] += 1
                 assert _closed_run(r, p, l, l)[0] == tuple(want), (p, r, l)
+            # a run's weights are the sums of its l's
+            top = 6 * (p - 1)
+            for lo in range(top + 1):
+                for last in range(lo, top + 1, p - 1):
+                    assert _closed_run(r, p, lo, last)[0] == tuple(
+                        map(sum, zip(*(_closed_run(r, p, l, l)[0]
+                                       for l in range(lo, last + 1, p - 1))))
+                    ), (p, r, lo, last)
 
 
 # --- valuation_bound on hand-built products ------------------------------------
@@ -485,15 +493,37 @@ def test_rationality_row_spot_checks():
     assert by_row[(2, 0)][2].index == (2, 0, 4, 4)
 
 
+def _grid_args(params):
+    """The (m, s) pairs of the rationality grid, s outer and m inner."""
+    return [(m, s) for s, ms in rationality_grid(params) for m in ms]
+
+
+#: every symbol the audits take: n = 1 up to p = 127, n = 2 up to p = 11,
+#: and (2,3) to (2,7), (3,3), (3,4) and (5,3)
+IN_BOUND = ([(p, 1) for p in range(2, 128) if is_prime(p)]
+            + [(p, 2) for p in (2, 3, 5, 7, 11)]
+            + [(2, n) for n in range(3, 8)] + [(3, 3), (3, 4), (5, 3)])
+
+
 def test_rationality_arguments_grid():
+    """At every symbol in bound the grid has one entry per Steenrod-valid
+    s in [0, d], and its (m, s) pairs are the brute-force filter of the
+    bound s > (m - b)(p-1) over 0 <= m, s <= d."""
+    assert set(IN_BOUND) == {
+        (p, n) for p in range(2, 2 * MAX_AUDIT_DIM) if is_prime(p)
+        for n in range(1, 8) if p ** n - 1 <= MAX_AUDIT_DIM}
+    for p, n in IN_BOUND:
+        pr = make_params(p, n)
+        b, d = pr.b, pr.d
+        brute = [(m, s) for m in range(d + 1) for s in range(d + 1)
+                 if s % (p - 1) == 0 and s > (m - b) * (p - 1)]
+        assert sorted(_grid_args(pr)) == brute, (p, n)
+        assert [s for s, _ in rationality_grid(pr)] == list(
+            range(0, d + 1, p - 1)), (p, n)
     pr = make_params(3, 2)
-    args = rationality_arguments(pr)
-    assert all(s % 2 == 0 and s > (m - 4) * 2 and 0 <= s <= 8
-               for m, s in args)
-    assert (8, 8) not in args  # bound excludes the top corner
-    assert (0, 0) in args
-    # m = 8 admits no valid s at all
-    assert not [s for m, s in args if m == 8]
+    assert rationality_grid(pr) == [(0, range(4)), (2, range(5)),
+                                    (4, range(6)), (6, range(7)),
+                                    (8, range(8))]
 
 
 def test_rationality_replay():
@@ -504,7 +534,7 @@ def test_rationality_replay():
 
 def test_rationality_full_grid_p2_n2():
     pr = make_params(2, 2)
-    for m, s in rationality_arguments(pr):
+    for m, s in _grid_args(pr):
         rep = audit_rationality(pr, m, s)
         assert rep.passed, (m, s, rep.conclusion)
 
@@ -590,10 +620,10 @@ def test_generators_arguments():
 
 
 def test_audit_size_bound():
-    # the largest symbol audited anywhere is the (11,2) verify sample
+    # (11,2), d = 120, is in bound and (2,8), d = 255, is not
     assert make_params(11, 2).d <= MAX_AUDIT_DIM < make_params(2, 8).d
     big = make_params(2, 8)
-    for audit, args in ((rationality_arguments, ()),
+    for audit, args in ((rationality_grid, ()),
                         (generators_arguments, ()),
                         (audit_rationality, (1, 2)),
                         (audit_generators, (1, 1))):
@@ -720,7 +750,7 @@ def _oracle_audits():
     audits."""
     for p, n in ((2, 2), (2, 3), (3, 2)):
         pr = make_params(p, n)
-        for m, s in rationality_arguments(pr):
+        for m, s in _grid_args(pr):
             yield audit_rationality(pr, m, s)
         for m, r in generators_arguments(pr):
             yield audit_generators(pr, m, r)
@@ -825,18 +855,21 @@ def test_classes_match_row_oracle():
 
 
 def test_m_never_reaches_a_verdict():
-    """On full grids, every m gets the tallies, verdict, leading case and
-    conclusion of the smallest m with its s."""
-    for p, n in ((2, 3), (3, 2), (2, 4)):
+    """On full grids, every m of a grid entry gets the tallies, verdict,
+    leading case and conclusion of its largest m, the one verify and the
+    sweep audit, and its replay passes."""
+    for p, n in ((2, 3), (3, 2), (2, 4), (5, 2)):
         pr = make_params(p, n)
-        by_s, repeats = {}, 0
-        for m, s in rationality_arguments(pr):
-            rep = audit_rationality(pr, m, s)
-            got = (rep.tallies, rep.passed, rep.leading.describe(),
-                   rep.conclusion)
-            repeats += s in by_s
-            assert by_s.setdefault(s, got) == got, (p, n, m, s)
-        assert repeats > len(by_s)
+        for s, ms in rationality_grid(pr):
+            want = None
+            for m in reversed(ms):
+                rep = audit_rationality(pr, m, s)
+                got = (rep.tallies, rep.passed, rep.leading.describe(),
+                       rep.conclusion)
+                want = want or got
+                assert got == want, (p, n, m, s)
+                check = replay(rep)
+                assert check.passed, (p, n, m, s, check.failures())
 
 
 def test_records_are_real_instances():
@@ -1341,4 +1374,4 @@ def test_audit_sweep_exits_1_on_failure(monkeypatch, capsys):
                                       "--replay"])
     sweep = runpy.run_path(str(SWEEP))
     assert sweep["main"]() == 1
-    assert "FAIL replay rationality m=0 s=0" in capsys.readouterr().out
+    assert "FAIL replay rationality s=0 m<=2" in capsys.readouterr().out

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rostcalc import rostchow, sympow, verify
+from rostcalc import cli, rostchow, steenrod, sympow, verify
 from rostcalc.endalg import EndTuple
 from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
@@ -15,7 +15,6 @@ from rostcalc.verify import (
     MAX_VERIFY_PRIME,
     SUITES,
     _random_rational_tuple,
-    _steenrod_args,
     run_suite,
     suite_endalg,
     suite_symmpow,
@@ -87,19 +86,56 @@ def test_endalg_deterministic():
     assert a.checks == b.checks
 
 
-def test_steenrod_args_full_grid_small_d():
-    rat, gen = _steenrod_args(P32)
-    # d = 8 <= 10: the full argument grid
-    assert (0, 0) in rat and (7, 8) in rat
-    assert all(s > (m - 4) * 2 for m, s in rat)
-    assert gen == [(1, 1), (1, 2)]
+def test_steenrod_suite_audits_each_s_once(monkeypatch):
+    """One rationality audit per grid entry, at its largest m, every
+    generators audit, and a replay of each."""
+    audited, replayed = [], []
+    for name in ("audit_rationality", "audit_generators"):
+        def audit(params, *args, honest=getattr(steenrod, name)):
+            audited.append(args)
+            return honest(params, *args)
+        monkeypatch.setattr(steenrod, name, audit)
+    honest_replay = steenrod.replay
+
+    def replay(report):
+        replayed.append(tuple(value for _, value in report.args))
+        return honest_replay(report)
+
+    monkeypatch.setattr(steenrod, "replay", replay)
+    (report,) = run_suite("steenrod", P32)
+    assert report.passed, report.failures()
+    # (m, s) of the rationality audits, then (m, r) of the generators ones
+    want = [(3, 0), (4, 2), (5, 4), (6, 6), (7, 8), (1, 1), (1, 2)]
+    assert audited == replayed == want
+    assert [name for name, _, _ in report.checks] == [
+        "rationality s=0 m<=3", "rationality s=2 m<=4", "rationality s=4 m<=5",
+        "rationality s=6 m<=6", "rationality s=8 m<=7",
+        "generators m=1 r=1", "generators m=1 r=2",
+        "trace replay (rationality)", "trace replay (generators)"]
+    assert report.checks[-2:] == [
+        ("trace replay (rationality)", True, "5 audits replayed"),
+        ("trace replay (generators)", True, "2 audits replayed")]
 
 
-def test_steenrod_args_sampled_large_d():
-    params = make_params(7, 2)  # d = 48
-    rat, gen = _steenrod_args(params)
-    assert rat == [(0, 0), (0, 6), (1, 0)]
-    assert len(gen) == 6
+def test_steenrod_suite_fails_on_any_failing_replay(monkeypatch, capsys):
+    """A replay that fails on the rationality audit of the largest s, not
+    the first one audited, fails the suite and verify exits 1."""
+    honest = steenrod.replay
+
+    def failing_at_s_8(report):
+        check = honest(report)
+        if report.kind == "rationality" and dict(report.args)["s"] == 8:
+            check.add("injected failure", False)
+        return check
+
+    monkeypatch.setattr(steenrod, "replay", failing_at_s_8)
+    (report,) = run_suite("steenrod", P32)
+    assert report.failures() == [("trace replay (rationality)",
+                                  "first failure at s=8: injected failure")]
+    assert cli.main(["verify", "-p", "3", "-n", "2",
+                     "--suite", "steenrod"]) == 1
+    assert ("FAIL: steenrod p=3 n=2: trace replay (rationality) -- first "
+            "failure at s=8: injected failure") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
