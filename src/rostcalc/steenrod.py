@@ -65,7 +65,7 @@ _RATIONAL = frozenset({"second", "third", "chern_x", "chern_y"})
 MAX_AUDIT_DIM = 128
 
 
-def _check_audit_size(params):
+def check_audit_size(params):
     if params.d > MAX_AUDIT_DIM:
         raise ValueError(
             f"audit too large: d = {params.d} at p={params.p} n={params.n}, "
@@ -555,33 +555,26 @@ def _conclude(cases, support, pass_text, fail_text):
 def _row_plan(r, p, top, budget, l_s):
     """The cases of a rationality row, l = 0 .. budget with k = s at l_s,
     as (range of l, representative l, bucket product or zero, weight): an
-    invalid-S^k zero for the l whose k = budget - l is invalid, then runs
-    of the other l, stepped by p - 1, that end where S^l over r factors
-    turns empty or not, with l = 0 and l_s alone where S^l is not empty.
-    An empty run is one cartan-empty zero; any other has a case per
-    non-empty bucket, weighted from the prefix sums and represented at the
-    first l that fills the bucket."""
+    invalid-S^k zero for the l whose k = budget - l is invalid, then the
+    other l, all congruent to the budget mod p - 1.  S^l over r >= 1
+    factors is empty iff p - 1 does not divide l, so those l are one
+    cartan-empty zero, or else runs (l = 0 and l_s alone) with a case per
+    non-empty bucket, weighted from prefix sums, represented at its first l."""
     step = p - 1
     tables, sums = _weight_sums(r, p, top)
     valid = range(budget % step, budget + 1, step)
-    empty = {l: tables[l] == (None,) * 4 for l in valid}
     plan = []
     if len(valid) <= budget:
         l = 0 if budget % step else 1
         plan.append((range(budget + 1), l, _ZERO["steenrod-index-invalid"],
                      budget + 1 - len(valid)))
-    edges = {valid.start, budget + step}
-    for l in valid:
-        if l in (0, l_s) and not empty[l]:
-            edges |= {l, l + step}
-        elif l > valid.start and empty[l] != empty[l - step]:
-            edges.add(l)
-    edges = sorted(edges)
+    if budget % step:
+        return (*plan, (range(valid.start, budget + step, step), valid.start,
+                        _ZERO["cartan-empty"], len(valid)))
+    edges = sorted(e for e in {0, step, l_s, l_s + step, budget + step}
+                   if e >= 0)
     for lo, hi in zip(edges, edges[1:]):
         run = range(lo, hi, step)
-        if empty[lo]:
-            plan.append((run, lo, _ZERO["cartan-empty"], len(run)))
-            continue
         for bucket, sums_b in enumerate(sums):
             if sums_b[hi] > sums_b[lo]:
                 l = next(l for l in run if tables[l][bucket])
@@ -627,14 +620,14 @@ def _case(index, rep, ctx, run, weight, leading):
 def rationality_grid(params):
     """All (m, s) the rationality audit claims, as one (s, range of m) per
     Steenrod-valid s in [0, d]: the m in [0, d] with s > (m - b)(p-1)."""
-    _check_audit_size(params)
+    check_audit_size(params)
     p, b, d = params.p, params.b, params.d
     return [(s, range(min(d, b - 1 + s // (p - 1)) + 1))
             for s in range(0, d + 1, p - 1)]
 
 
 def generators_arguments(params):
-    _check_audit_size(params)
+    check_audit_size(params)
     return [(m, r) for m in range(1, params.n) for r in range(1, params.p)]
 
 
@@ -675,7 +668,7 @@ def audit_rationality(params, m, s):
     single leading term (i = d, j = l = 0, k = s) has valuation exactly 1
     and every other term is Zero or ValAtLeast(2).
     """
-    _check_audit_size(params)
+    check_audit_size(params)
     p, b, d = params.p, params.b, params.d
     args = (("m", m), ("s", s))
     valid = steen_index_valid(s, p)
@@ -735,7 +728,7 @@ def audit_generators(params, m, r):
     itself p-divisible.  Each j is a run of its own: the Chern atom its
     verdicts name changes with j.
     """
-    _check_audit_size(params)
+    check_audit_size(params)
     p, b, n, d = params.p, params.b, params.n, params.d
     if not 1 <= m <= n - 1:
         raise ValueError(f"subvariety exponent m = {m} outside [1, {n - 1}]")

@@ -1,6 +1,7 @@
 """Named verification suites: batteries of exact identity checks, one
 CheckReport per suite.  These back the command-line `verify` subcommand."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -163,29 +164,32 @@ def suite_motcoh(params):
 def suite_steenrod(params):
     """Every steenrod claim at the symbol: one rationality audit per
     Steenrod-valid s, at the largest m of its grid entry, and every
-    generators audit, each replayed.  The audit at the largest m stands
-    for every m of its s: no verdict reads m (``valuation_bound`` never
-    reads ``ctx.m``), and replay reads it only in ``_xdecomp_vanishes``,
-    whose premise s + r*b > (m - r*b)(p-1) gets harder to meet as m grows
-    and follows from the argument bound s > (m - b)(p-1) for every r >= 1."""
+    generators audit, each replayed before the next audit is made and
+    then dropped.  The audit at the largest m stands for every m of its
+    s: no verdict reads m (``valuation_bound`` never reads ``ctx.m``), and
+    replay reads it only in ``_xdecomp_vanishes``, whose premise
+    s + r*b > (m - r*b)(p-1) gets harder to meet as m grows and follows
+    from the argument bound s > (m - b)(p-1) for every r >= 1."""
     from . import steenrod
     report = CheckReport(f"steenrod p={params.p} n={params.n}")
-    audits = {"rationality": [], "generators": []}
-    for s, ms in steenrod.rationality_grid(params):
-        rep = steenrod.audit_rationality(params, ms[-1], s)
-        report.add(f"rationality s={s} m<={ms[-1]}", rep.passed,
-                   rep.conclusion)
-        audits["rationality"].append((f"s={s}", rep))
-    for m, r in steenrod.generators_arguments(params):
-        rep = steenrod.audit_generators(params, m, r)
-        report.add(f"generators m={m} r={r}", rep.passed, rep.conclusion)
-        audits["generators"].append((f"m={m} r={r}", rep))
-    for kind, reps in audits.items():
-        failed = next((f"first failure at {name}: {check}" for name, rep in reps
-                       for check, _ in steenrod.replay(rep).failures()), None)
-        if reps:
-            report.add(f"trace replay ({kind})", failed is None,
-                       failed or f"{len(reps)} audits replayed")
+    audits = itertools.chain(
+        ((f"s={s}", f"rationality s={s} m<={ms[-1]}",
+          steenrod.audit_rationality(params, ms[-1], s))
+         for s, ms in steenrod.rationality_grid(params)),
+        ((f"m={m} r={r}", f"generators m={m} r={r}",
+          steenrod.audit_generators(params, m, r))
+         for m, r in steenrod.generators_arguments(params)))
+    counts, failed = {}, {}  # per kind, audits replayed and first failure
+    for name, check, rep in audits:
+        report.add(check, rep.passed, rep.conclusion)
+        counts[rep.kind] = counts.get(rep.kind, 0) + 1
+        failures = steenrod.replay(rep).failures()
+        if failures:
+            failed.setdefault(rep.kind,
+                              f"first failure at {name}: {failures[0][0]}")
+    for kind, count in counts.items():
+        report.add(f"trace replay ({kind})", kind not in failed,
+                   failed.get(kind, f"{count} audits replayed"))
     return report
 
 
@@ -205,11 +209,13 @@ MAX_VERIFY_PRIME = 61
 
 def run_suite(name, params):
     """Return a list of CheckReports for the named suite ('all' runs them
-    all in declaration order)."""
+    all in declaration order, once the symbol is within every bound)."""
     if params.p > MAX_VERIFY_PRIME:
         raise ValueError(f"verify too large: p = {params.p}, more than "
                          f"{MAX_VERIFY_PRIME}")
     if name == "all":
+        from . import steenrod
+        steenrod.check_audit_size(params)
         return [fn(params) for fn in SUITES.values()]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")

@@ -660,6 +660,54 @@ def _tallies_by_index(cases, p, terms):
     return out
 
 
+def _row_plan_walk(r, p, top, budget, l_s):
+    """The per-l oracle of ``steenrod._row_plan``: it reads from the bucket
+    tables where S^l over r factors is empty, l by l, and ends a run
+    wherever that changes along the row."""
+    step = p - 1
+    tables, sums = steenrod._weight_sums(r, p, top)
+    valid = range(budget % step, budget + 1, step)
+    empty = {l: tables[l] == (None,) * 4 for l in valid}
+    plan = []
+    if len(valid) <= budget:
+        l = 0 if budget % step else 1
+        plan.append((range(budget + 1), l, Zero("steenrod-index-invalid"),
+                     budget + 1 - len(valid)))
+    edges = {valid.start, budget + step}
+    for l in valid:
+        if l in (0, l_s) and not empty[l]:
+            edges |= {l, l + step}
+        elif l > valid.start and empty[l] != empty[l - step]:
+            edges.add(l)
+    edges = sorted(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        run = range(lo, hi, step)
+        if empty[lo]:
+            plan.append((run, lo, Zero("cartan-empty"), len(run)))
+            continue
+        for bucket, sums_b in enumerate(sums):
+            if sums_b[hi] > sums_b[lo]:
+                l = next(l for l in run if tables[l][bucket])
+                plan.append((run, l, tables[l][bucket],
+                             sums_b[hi] - sums_b[lo]))
+    return tuple(plan)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (7, 2)])
+def test_row_plan_matches_per_l_walk(p, n):
+    """A rationality row is cartan-empty as a whole exactly when p - 1 does
+    not divide its budget: the plan that decides so by one residue test
+    equals the walk over every l, at every (budget, l_s) of the grid."""
+    d = make_params(p, n).d
+    for s, _ in rationality_grid(make_params(p, n)):
+        for budget in range(d + s):
+            plan = steenrod._row_plan(p - 1, p, 2 * d, budget, budget - s)
+            oracle = _row_plan_walk(p - 1, p, 2 * d, budget, budget - s)
+            assert [(run.start, run.stop, run.step) for run, *_ in plan] == [
+                (run.start, run.stop, run.step) for run, *_ in oracle]
+            assert plan == oracle, (p, n, s, budget)
+
+
 def _row_cases(report):
     """The row-level oracle of a rationality report: the audit's cases
     before row classes, the cases of each row (i, j) in row order, and a
@@ -678,7 +726,7 @@ def _row_cases(report):
                                        range(budget + 1), budget + 1))
                 continue
             chern = (SteenAtom("chern_x", i), SteenAtom("chern_x", j))
-            for run, l, rep, weight in steenrod._row_plan(
+            for run, l, rep, weight in _row_plan_walk(
                     step, p, 2 * d, budget, budget - s):
                 ctx = PairingContext("rationality", params, m, s, step, i, j,
                                      budget - l, l, chern)
@@ -1013,18 +1061,28 @@ def fresh_tables():
                                         (audit_generators, (1, 2))])
 def test_replay_rejects_dropped_compositions(monkeypatch, fresh_tables,
                                             audit, args):
-    """A Cartan expansion that loses the compositions of S^2 fools the
-    audit into cartan-empty zeros; replay decides that zero in closed
-    form, without the expansion."""
+    """A Cartan expansion that loses the compositions of S^2 passes the
+    audit, and replay, which counts terms in closed form without the
+    expansion, rejects it.  The generators audit takes the lost S^2 for
+    cartan-empty zeros, whose reason replay refutes.  A rationality row
+    is cartan-empty by the residue of its budget alone, so there the lost
+    terms only shrink the case weights that replay recounts."""
     honest = steenrod._cartan_expand_cached
     monkeypatch.setattr(steenrod, "_cartan_expand_cached",
                         lambda r, l, p: () if l == 2 else honest(r, l, p))
     rep = audit(make_params(3, 2), *args)
     assert rep.passed
-    assert any(c.verdict == Zero("cartan-empty") and c.index[-1] == 2
-               for c in rep.cases)
-    check = replay(rep)
-    assert [name for name, _ in check.failures()] == ["zero reasons justified"]
+    fooled = any(c.verdict == Zero("cartan-empty") and c.index[-1] == 2
+                 for c in rep.cases)
+    failures = replay(rep).failures()
+    if audit is audit_generators:
+        assert fooled
+        assert [name for name, _ in failures] == ["zero reasons justified"]
+    else:
+        assert not fooled
+        assert failures == [("class weights recounted",
+                             "14 bad, tallies (178, 259, 1) recounted as "
+                             "(178, 265, 1)")]
 
 
 def _ctx(case):

@@ -88,17 +88,17 @@ def test_endalg_deterministic():
 
 def test_steenrod_suite_audits_each_s_once(monkeypatch):
     """One rationality audit per grid entry, at its largest m, every
-    generators audit, and a replay of each."""
-    audited, replayed = [], []
+    generators audit, and a replay of each right after its audit."""
+    events = []
     for name in ("audit_rationality", "audit_generators"):
         def audit(params, *args, honest=getattr(steenrod, name)):
-            audited.append(args)
+            events.append(("audit", args))
             return honest(params, *args)
         monkeypatch.setattr(steenrod, name, audit)
     honest_replay = steenrod.replay
 
     def replay(report):
-        replayed.append(tuple(value for _, value in report.args))
+        events.append(("replay", tuple(value for _, value in report.args)))
         return honest_replay(report)
 
     monkeypatch.setattr(steenrod, "replay", replay)
@@ -106,7 +106,8 @@ def test_steenrod_suite_audits_each_s_once(monkeypatch):
     assert report.passed, report.failures()
     # (m, s) of the rationality audits, then (m, r) of the generators ones
     want = [(3, 0), (4, 2), (5, 4), (6, 6), (7, 8), (1, 1), (1, 2)]
-    assert audited == replayed == want
+    assert events == [(event, args) for args in want
+                      for event in ("audit", "replay")]
     assert [name for name, _, _ in report.checks] == [
         "rationality s=0 m<=3", "rationality s=2 m<=4", "rationality s=4 m<=5",
         "rationality s=6 m<=6", "rationality s=8 m<=7",
@@ -195,3 +196,20 @@ def test_prime_bound_before_any_suite(monkeypatch):
         with pytest.raises(ValueError, match="verify too large: p = 67, "
                                              "more than 61"):
             run_suite(name, make_params(67, 1))
+
+
+def test_audit_size_bound_before_any_suite(monkeypatch):
+    """'all' refuses a symbol past the audit size bound before it runs
+    the suites that come ahead of steenrod."""
+    ran = []
+    for name, fn in SUITES.items():
+        def recording(params, name=name, fn=fn):
+            ran.append(name)
+            return fn(params)
+        monkeypatch.setitem(verify.SUITES, name, recording)
+    with pytest.raises(ValueError, match="audit too large: d = 255 at p=2 "
+                                         "n=8, more than 128"):
+        run_suite("all", make_params(2, 8))
+    assert ran == []
+    run_suite("all", make_params(2, 2))
+    assert ran == list(SUITES)
