@@ -1,15 +1,15 @@
 """Exact p-divisibility audits for total Steenrod powers in the split model.
 
-The engine never computes a Steenrod action.  It enumerates every term that
-appears when S^s is pushed through a pairing of Chern classes against powers
-of the special correspondence sigma = 1 x H - H x 1, expanding S^l(sigma^r)
-by the Cartan formula and each S^a(sigma) into
+The engine never computes a Steenrod action.  It gives a verdict to every
+term that appears when S^s is pushed through a pairing of Chern classes
+against powers of the special correspondence sigma = 1 x H - H x 1,
+expanding S^l(sigma^r) by the Cartan formula and each S^a(sigma) into
 
-    S^a(sigma) = p*theta_a + 1 x S^a(H) - S^a(H) x 1,
+    S^a(sigma) = p*theta_a + 1 x S^a(H) - S^a(H) x 1.
 
-and returns one verdict per term.  A verdict reads a term only through its
-pairing and its bucket: two or more thetas, one theta, no theta but a
-second, or thirds only.  So the audits never materialise terms.  A row
+A verdict reads a term only through its pairing and its bucket: two or more
+thetas, one theta, no theta but a second, or thirds only.  So the audits
+count each bucket's terms from partition counts and list no term.  A row
 (i, j) of the budget splits its l into runs with one verdict regime each
 (l = 0 and the l with k = s alone, the stretches between them whole), and a
 run has one case per non-empty bucket, classified through one product and
@@ -350,15 +350,31 @@ def _weight_sums(r, p, top):
     """The bucket tables of S^l over r factors for l <= top (each bucket's
     product, None where empty), and prefix sums over l, stepped by p - 1,
     of the bucket weights: sums[bucket][c + p - 1] - sums[bucket][a] sums
-    over range(a, c + 1, p - 1)."""
-    step, tables = p - 1, []
+    over range(a, c + 1, p - 1).  S^l, l = L(p - 1), has a composition with
+    q positive parts per partition of L into exactly q parts (by conjugation,
+    parts <= q less parts <= q - 1); the first two fill every filled bucket."""
+    step, size, tables = p - 1, top // (p - 1) + 1, [(None,) * 4] * (top + 1)
+    at_most = [1] + [0] * (size - 1)  # partitions of L into parts <= q
+    columns = [[0] * size, [0] * size, [0] * size, at_most[:]]  # weights
+    for q in range(1, r + 1):
+        more = at_most[:]  # coin change: admit parts of size q
+        for big_l in range(q, size):
+            more[big_l] += more[big_l - q]
+        exact, at_most = list(map(sub, more, at_most)), more
+        for column, w in zip(columns, _bucket_split(q)):
+            column[:] = [c + w * n for c, n in zip(column, exact)]
+    for l in range(0, top + 1, step):
+        firsts, table = [(0,) * (r - 1) + (l,)], [None] * 4
+        if r > 1 and l >= 2 * step:
+            firsts.append((0,) * (r - 2) + (step, l - step))
+        for prod in substitute_dcmp(
+                [(x, multinomial(map(x.count, set(x)))) for x in firsts]):
+            bucket = _bucket(*_atom_tally(prod.atoms)[0][1:3])
+            table[bucket] = prod._replace(weight=columns[bucket][l // step])
+        tables[l] = tuple(table)
     sums = [[0] * (top + 1 + step) for _ in range(4)]
     for l in range(top + 1):
-        table = [None] * 4
-        for prod in substitute_dcmp(cartan_expand(r, l, p)):
-            table[_bucket(*_atom_tally(prod.atoms)[0][1:3])] = prod
-        tables.append(tuple(table))
-        for row, prod in zip(sums, table):
+        for row, prod in zip(sums, tables[l]):
             row[l + step] = row[l] + (prod.weight if prod else 0)
     return tuple(tables), tuple(map(tuple, sums))
 
@@ -847,7 +863,6 @@ def _xdecomp_vanishes(kind, params, m, s, at_s):
         s + rr * b > (m - rr * b) * (p - 1) for rr in range(1, p))
 
 
-@lru_cache(maxsize=None)
 def _rule_needs(verdict):
     """What a ValAtLeast verdict needs of its case: None if its rules
     cannot certify it anywhere (their factors fall short of its value, or
@@ -877,6 +892,8 @@ def _rule_needs(verdict):
 #: range for a Chern overflow, those whose k is invalid for an invalid
 #: S^k, and all its l, stepped by p - 1 ("valid"), for any other case
 _COVERS = {"chern-index-overflow": "all", "steenrod-index-invalid": "invalid"}
+#: replay's _rule_needs by id(v), not by hashing v; entries hold v alive
+_NEEDS = {}
 
 
 def _row_tiled(span, ks_valid, runs):
@@ -932,7 +949,7 @@ def _recount_class(params, s, i, j):
 
 def replay(report):
     """Re-check every verdict's premises over its whole run and every
-    weight in closed form, independently of the enumeration, and recount
+    weight in closed form, independently of the audit's tables, and recount
     the weighted verdict tallies.  A case's context must be the one its row
     and l give, x-decomp-vanishes needs k != s all along the run, and l = 0
     is a run of its own.  The cases of a row come together, those of a run
@@ -1035,7 +1052,10 @@ def replay(report):
                               or v.value != 1 or not all(
                                   pid in PREMISES for pid in v.premises))
             else:
-                need = _rule_needs(v) if prod is not None else None
+                entry = _NEEDS.get(id(v), (None,))
+                if entry[0] is not v:
+                    entry = _NEEDS[id(v)] = v, _rule_needs(v)
+                need = entry[1] if prod is not None else None
                 # the atoms the rules name must be in the product or context
                 bad_rules += (need is None or need[1] and not xdecomp[at_s]
                               or any(a not in atoms and a not in chern

@@ -263,6 +263,36 @@ def test_closed_form_bucket_weights_match_cartan_expand():
                     ), (p, r, lo, last)
 
 
+def _weight_sums_oracle(r, p, top):
+    """The enumerating oracle of ``steenrod._weight_sums``: each l's bucket
+    table is ``substitute_dcmp`` of every Cartan composition of S^l."""
+    step, tables = p - 1, []
+    sums = [[0] * (top + 1 + step) for _ in range(4)]
+    for l in range(top + 1):
+        table = [None] * 4
+        for prod in substitute_dcmp(cartan_expand(r, l, p)):
+            table[_bucket_index(prod)] = prod
+        tables.append(tuple(table))
+        for row, prod in zip(sums, table):
+            row[l + step] = row[l] + (prod.weight if prod else 0)
+    return tuple(tables), tuple(map(tuple, sums))
+
+
+@pytest.mark.parametrize("r,p,top", [
+    (r, p, top) for p in (2, 3, 5, 7, 11, 13) for r in range(1, p)
+    for top in sorted({0, 1, 2 * (p - 1), 6 * (p - 1), 40})
+] + [(r, p, 2 * (p ** n - 1))
+     for p, n in ((5, 3), (7, 2), (11, 2), (3, 4), (2, 7))
+     for r in range(1, p)])
+def test_weight_sums_match_enumeration(r, p, top):
+    """The bucket tables built from partition counts and the first two
+    compositions equal, product for product and sum for sum, those built
+    by enumerating every composition; the last keys are every table of
+    the audits at (5,3), (7,2), (11,2), (3,4) and (2,7), whose l <= 2d
+    (the (2,5) and (2,6) tables are the first l of the (2,7) one)."""
+    assert steenrod._weight_sums(r, p, top) == _weight_sums_oracle(r, p, top)
+
+
 # --- valuation_bound on hand-built products ------------------------------------
 
 
@@ -1047,8 +1077,9 @@ def test_composition_closed_form_matches_cartan_expand():
 
 @pytest.fixture
 def fresh_tables():
-    """Empty the audit's caches built from cartan_expand before and after
-    the test, so that a patched expansion is the one they read."""
+    """Empty the audit's bucket tables and the row plans read from them
+    before and after the test, so that a patched table build is the one
+    they read."""
     caches = (steenrod._weight_sums, steenrod._row_plan)
     for cache in caches:
         cache.cache_clear()
@@ -1061,15 +1092,17 @@ def fresh_tables():
                                         (audit_generators, (1, 2))])
 def test_replay_rejects_dropped_compositions(monkeypatch, fresh_tables,
                                             audit, args):
-    """A Cartan expansion that loses the compositions of S^2 passes the
-    audit, and replay, which counts terms in closed form without the
-    expansion, rejects it.  The generators audit takes the lost S^2 for
-    cartan-empty zeros, whose reason replay refutes.  A rationality row
-    is cartan-empty by the residue of its budget alone, so there the lost
-    terms only shrink the case weights that replay recounts."""
-    honest = steenrod._cartan_expand_cached
-    monkeypatch.setattr(steenrod, "_cartan_expand_cached",
-                        lambda r, l, p: () if l == 2 else honest(r, l, p))
+    """A bucket-table build that loses the terms of S^2 passes the audit,
+    and replay, which counts terms in closed form without the tables,
+    rejects it.  The generators audit takes the lost S^2 for cartan-empty
+    zeros, whose reason replay refutes.  A rationality row is cartan-empty
+    by the residue of its budget alone, so there the lost terms only
+    shrink the case weights that replay recounts."""
+    honest = steenrod.substitute_dcmp
+    monkeypatch.setattr(
+        steenrod, "substitute_dcmp",
+        lambda expansion: [] if expansion and sum(expansion[0][0]) == 2
+        else honest(expansion))
     rep = audit(make_params(3, 2), *args)
     assert rep.passed
     fooled = any(c.verdict == Zero("cartan-empty") and c.index[-1] == 2
@@ -1083,6 +1116,19 @@ def test_replay_rejects_dropped_compositions(monkeypatch, fresh_tables,
         assert failures == [("class weights recounted",
                              "14 bad, tallies (178, 259, 1) recounted as "
                              "(178, 265, 1)")]
+
+
+def test_audits_do_not_enumerate_compositions(monkeypatch, fresh_tables):
+    """Cold audits, their bucket tables built afresh, never call the Cartan
+    enumerator: neither the (5,3) s=124 rationality audit, whose tables
+    reach S^248 over 4 factors, nor the (7,2) r=6 generators audit."""
+    def refuse(r, l, p):
+        raise AssertionError(f"enumerated S^{l} over {r} factors at p={p}")
+
+    monkeypatch.setattr(steenrod, "_cartan_expand_cached", refuse)
+    for rep in (audit_rationality(make_params(5, 3), 0, 124),
+                audit_generators(make_params(7, 2), 1, 6)):
+        assert rep.passed and replay(rep).passed, rep.title
 
 
 def _ctx(case):
