@@ -145,7 +145,7 @@ def cmd_params(ns, params):
     return 0
 
 
-def _provenance(desc, params):
+def _provenance(desc):
     if desc.kind == "p_free":
         return f"j = b*{desc.k}"
     if desc.kind == "cyclic_p":
@@ -174,7 +174,7 @@ def cmd_chow(ns, params):
 
     entries = table.entries
     provenance = {j: text for j in table.nonzero()
-                  if (text := _provenance(entries[j], params))}
+                  if (text := _provenance(entries[j]))}
     rows = [(j, desc.kind) for j, desc in entries.items()]
     doc = lines = None
     if ns.format == "json":

@@ -1077,3 +1077,28 @@ def replay(report):
                                    f"as {tallies}"))
     out.add("support checks hold", all(ok for _, ok, _ in report.support))
     return out
+
+
+def claims(params):
+    """Audit each steenrod claim at the symbol once and replay the audit
+    before the next one is made.  Yields (name, label, report, ms, replay
+    result) per audit: ``name`` is "s=S" or "m=M r=R", ``label`` the claim
+    ("rationality s=S m<=M" or "generators m=M r=R") and ``ms`` the range
+    of m the audit stands for.
+
+    One rationality audit per Steenrod-valid s, by ascending s, at the
+    largest m of its ``rationality_grid`` entry, then one generators audit
+    per ``generators_arguments`` pair, standing for its own m.  The audit
+    at the largest m stands for every m of its s: no verdict reads m
+    (``valuation_bound`` never reads ``ctx.m``), and replay reads it only
+    in ``_xdecomp_vanishes``, whose premise s + r*b > (m - r*b)(p-1) gets
+    harder to meet as m grows and follows from the argument bound
+    s > (m - b)(p-1) for every r >= 1."""
+    for s, ms in rationality_grid(params):
+        report = audit_rationality(params, ms[-1], s)
+        yield (f"s={s}", f"rationality s={s} m<={ms[-1]}", report, ms,
+               replay(report))
+    for m, r in generators_arguments(params):
+        report = audit_generators(params, m, r)
+        yield (f"m={m} r={r}", f"generators m={m} r={r}", report,
+               range(m, m + 1), replay(report))

@@ -1,7 +1,6 @@
 """Named verification suites: batteries of exact identity checks, one
 CheckReport per suite.  These back the command-line `verify` subcommand."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -162,28 +161,15 @@ def suite_motcoh(params):
 
 
 def suite_steenrod(params):
-    """Every steenrod claim at the symbol: one rationality audit per
-    Steenrod-valid s, at the largest m of its grid entry, and every
-    generators audit, each replayed before the next audit is made and
-    then dropped.  The audit at the largest m stands for every m of its
-    s: no verdict reads m (``valuation_bound`` never reads ``ctx.m``), and
-    replay reads it only in ``_xdecomp_vanishes``, whose premise
-    s + r*b > (m - r*b)(p-1) gets harder to meet as m grows and follows
-    from the argument bound s > (m - b)(p-1) for every r >= 1."""
+    """Every steenrod claim at the symbol (``steenrod.claims``): a line per
+    audit, and one per audit kind for the replays."""
     from . import steenrod
     report = CheckReport(f"steenrod p={params.p} n={params.n}")
-    audits = itertools.chain(
-        ((f"s={s}", f"rationality s={s} m<={ms[-1]}",
-          steenrod.audit_rationality(params, ms[-1], s))
-         for s, ms in steenrod.rationality_grid(params)),
-        ((f"m={m} r={r}", f"generators m={m} r={r}",
-          steenrod.audit_generators(params, m, r))
-         for m, r in steenrod.generators_arguments(params)))
     counts, failed = {}, {}  # per kind, audits replayed and first failure
-    for name, check, rep in audits:
-        report.add(check, rep.passed, rep.conclusion)
+    for name, label, rep, _, replayed in steenrod.claims(params):
+        report.add(label, rep.passed, rep.conclusion)
         counts[rep.kind] = counts.get(rep.kind, 0) + 1
-        failures = steenrod.replay(rep).failures()
+        failures = replayed.failures()
         if failures:
             failed.setdefault(rep.kind,
                               f"first failure at {name}: {failures[0][0]}")

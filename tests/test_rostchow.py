@@ -1,7 +1,11 @@
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+from conftest import child_env
 from rostcalc import motcoh, rostchow
 from rostcalc.rostchow import (FREE, ZERO, ChowGroupDesc, closed_form,
                                compare, recurrence)
@@ -281,3 +285,19 @@ def test_trace_is_rendered_from_the_entries():
     assert table.trace[8] == "closed form: index-p free part at j=b*2"
     table.entries[8] = ZERO
     assert table.trace[8] == "closed form: zero"
+
+
+TABLES = pathlib.Path(__file__).parents[1] / "scripts" / "chow_tables.py"
+
+
+def test_chow_tables_script_subprocess():
+    """The script prints one header per symbol, tagged [ok] when the closed
+    form and the recurrence agree."""
+    proc = subprocess.run([sys.executable, str(TABLES), "--primes", "2", "3",
+                           "--max-n", "2"], capture_output=True, text=True,
+                          timeout=30, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    headers = [line for line in proc.stdout.splitlines()
+               if line.startswith("p=")]
+    assert len(headers) == 4
+    assert all(line.endswith("[ok]") for line in headers), headers

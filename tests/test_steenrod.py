@@ -1458,9 +1458,9 @@ SWEEP = pathlib.Path(__file__).parents[1] / "scripts" / "audit_sweep.py"
 
 
 def test_audit_sweep_subprocess():
-    proc = subprocess.run([sys.executable, str(SWEEP), "-p", "2", "-n", "2",
-                           "--replay"], capture_output=True, text=True,
-                          timeout=30, env=child_env())
+    proc = subprocess.run([sys.executable, str(SWEEP), "-p", "2", "-n", "2"],
+                          capture_output=True, text=True, timeout=30,
+                          env=child_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "  verdicts: zero=218 at-least=740 exact=16" in lines
@@ -1474,8 +1474,31 @@ def test_audit_sweep_exits_1_on_failure(monkeypatch, capsys):
     failing = CheckReport("stub")
     failing.add("always wrong", False)
     monkeypatch.setattr(steenrod, "replay", lambda report: failing)
-    monkeypatch.setattr(sys, "argv", ["audit_sweep.py", "-p", "2", "-n", "2",
-                                      "--replay"])
+    monkeypatch.setattr(sys, "argv", ["audit_sweep.py", "-p", "2", "-n", "2"])
     sweep = runpy.run_path(str(SWEEP))
     assert sweep["main"]() == 1
-    assert "FAIL replay rationality s=0 m<=2" in capsys.readouterr().out
+    assert ("FAIL replay rationality s=0 m<=2: always wrong"
+            in capsys.readouterr().out.splitlines())
+
+
+#: the verdict totals (zero, at-least, exact) recorded in ROADMAP.md, at
+#: the symbols whose sweep takes well under a second
+ROADMAP_TOTALS = {
+    (2, 3): (5667, 36982, 65),
+    (3, 2): (11682, 27463, 32),
+    (2, 4): (138886, 1433812, 258),
+    (5, 2): (650985, 3788542, 67),
+    (3, 3): (2918793, 21926061, 277),
+    (2, 5): (3648013, 50133810, 1027),
+    (11, 2): (289061922, 289185997530, 244),
+}
+
+
+@pytest.mark.parametrize("p,n", list(ROADMAP_TOTALS))
+def test_audit_sweep_verdict_totals(p, n, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["audit_sweep.py", "-p", str(p), "-n", str(n)])
+    assert runpy.run_path(str(SWEEP))["main"]() == 0
+    zero, at_least, exact = ROADMAP_TOTALS[p, n]
+    assert (f"  verdicts: zero={zero} at-least={at_least} exact={exact}"
+            in capsys.readouterr().out.splitlines())
