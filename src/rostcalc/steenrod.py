@@ -315,7 +315,7 @@ def _bucket_split(q):
     return 3 ** q - 2 ** q - one_theta, one_theta, 2 ** q - 1, 1
 
 
-def substitute_dcmp(expansion, context=None):
+def substitute_dcmp(expansion):
     """Expand every positive part of every Cartan composition through the
     three-term sigma decomposition, one product per non-empty bucket,
     weighted by the number of terms in it.  A composition's 3^q terms split
@@ -341,7 +341,7 @@ def substitute_dcmp(expansion, context=None):
             atoms = (_atom("sigma"),) * sigmas + tuple(
                 _atom(kind, v) for kind, v in zip(kinds, positive))
             out.append(SteenProduct(atoms, multiplicity * (-1) ** (q - a - b),
-                                    context, weights[bucket]))
+                                    None, weights[bucket]))
     return out
 
 
@@ -352,7 +352,9 @@ def _weight_sums(r, p, top):
     of the bucket weights: sums[bucket][c + p - 1] - sums[bucket][a] sums
     over range(a, c + 1, p - 1).  S^l, l = L(p - 1), has a composition with
     q positive parts per partition of L into exactly q parts (by conjugation,
-    parts <= q less parts <= q - 1); the first two fill every filled bucket."""
+    parts <= q less parts <= q - 1); the first two fill every filled bucket,
+    the first buckets 1-3 (3 alone at l = 0), the second bucket 0: the
+    products ``substitute_dcmp`` lists in bucket order fill the last ones."""
     step, size, tables = p - 1, top // (p - 1) + 1, [(None,) * 4] * (top + 1)
     at_most = [1] + [0] * (size - 1)  # partitions of L into parts <= q
     columns = [[0] * size, [0] * size, [0] * size, at_most[:]]  # weights
@@ -364,14 +366,14 @@ def _weight_sums(r, p, top):
         for column, w in zip(columns, _bucket_split(q)):
             column[:] = [c + w * n for c, n in zip(column, exact)]
     for l in range(0, top + 1, step):
-        firsts, table = [(0,) * (r - 1) + (l,)], [None] * 4
+        firsts = [(0,) * (r - 1) + (l,)]
         if r > 1 and l >= 2 * step:
             firsts.append((0,) * (r - 2) + (step, l - step))
-        for prod in substitute_dcmp(
-                [(x, multinomial(map(x.count, set(x)))) for x in firsts]):
-            bucket = _bucket(*_atom_tally(prod.atoms)[0][1:3])
-            table[bucket] = prod._replace(weight=columns[bucket][l // step])
-        tables[l] = tuple(table)
+        prods = substitute_dcmp(
+            [(x, multinomial(map(x.count, set(x)))) for x in firsts])
+        tables[l] = (None,) * (4 - len(prods)) + tuple(
+            _new(SteenProduct, (*prod[:3], column[l // step]))
+            for prod, column in zip(prods, columns[4 - len(prods):]))
     sums = [[0] * (top + 1 + step) for _ in range(4)]
     for l in range(top + 1):
         for row, prod in zip(sums, tables[l]):
@@ -382,9 +384,9 @@ def _weight_sums(r, p, top):
 # --- the rule engine -----------------------------------------------------------
 
 
-# Verdicts are shared: one Zero per reason, one RuleApp per (rule, atoms)
-# and one ValAtLeast(2) per tuple of rule applications.  The atoms name
-# indices below 2 * MAX_AUDIT_DIM, so the caches stay small.
+# Verdicts are shared: one Zero per reason and one ValAtLeast(2) per tuple
+# of (rule, atoms) pairs.  The atoms name indices below 2 * MAX_AUDIT_DIM,
+# so the cache stays small.
 _ZERO = {reason: Zero(reason) for reason in ZERO_REASONS}
 _EXACT_RAT = ValExactly(1, ("top-chern-degree", "unit-pairing-degree"))
 _EXACT_GEN = ValExactly(1, ("top-chern-y-degree", "unit-pairing-degree"))
@@ -392,14 +394,9 @@ _XDECOMP = ("x-decomp-vanishes", ())
 
 
 @lru_cache(maxsize=None)
-def _rule_app(rule, atoms):
-    return RuleApp(rule, atoms)
-
-
-@lru_cache(maxsize=None)
 def _at_least(*apps):
     """The ValAtLeast(2) certified by apps, each a (rule, atoms) pair."""
-    return ValAtLeast(2, tuple(_rule_app(rule, atoms) for rule, atoms in apps))
+    return ValAtLeast(2, tuple(RuleApp(rule, atoms) for rule, atoms in apps))
 
 
 def valuation_bound(prod):
@@ -698,10 +695,10 @@ def audit_rationality(params, m, s):
         raise ValueError(f"Steenrod degree s = {s} above d = {d}; nothing "
                          f"is claimed above d")
     if not valid:
+        why = f"{s} < 0" if s < 0 else f"{p - 1} does not divide {s}"
         return AuditReport(
             "rationality", params, args, _RAT_PREMISES, (), (),
-            conclusion=f"trivial: S^{s} = 0 since {p - 1} does not divide "
-                       f"{s} (nothing to audit)",
+            conclusion=f"trivial: S^{s} = 0 since {why} (nothing to audit)",
             passed=True)
 
     support = _rationality_support(params)
@@ -950,10 +947,11 @@ def _recount_class(params, s, i, j):
 def replay(report):
     """Re-check every verdict's premises over its whole run and every
     weight in closed form, independently of the audit's tables, and recount
-    the weighted verdict tallies.  A case's context must be the one its row
-    and l give, x-decomp-vanishes needs k != s all along the run, and l = 0
-    is a run of its own.  The cases of a row come together, those of a run
-    too, and the runs of a row partition its l.
+    the weighted verdict tallies.  Every case but a zero has a product,
+    whose context must be the one its row and l give, x-decomp-vanishes
+    needs k != s all along the run, and l = 0 is a run of its own.  The
+    cases of a row come together, a run is a stretch of consecutive cases
+    with equal ranges, and the runs of a row partition its l.
 
     In a rationality audit the row of a case set is the first row of its
     class (see ``_recount_class``), and the case set stands for every row
@@ -1001,20 +999,21 @@ def replay(report):
         seen.add(key)
         covered += rows
         bad_weight += not first
-        runs, last_run = [], None
+        runs, last_run, run_ok = [], None, False
         for _, prod, v, leading, run, weight in cases:
             slot = _SLOT.get(type(v), 2)
             n_leading += leading
-            if run is not last_run:
+            if run != last_run:
                 cover = _COVERS.get(getattr(v, "reason", None), "valid")
-                last_run, last_ctx, weights, ctx_ok = run, None, None, False
+                last_run, last_ctx, ctx_ok = run, None, False
                 run_ok = (bool(run) and 0 <= run[0] and run[-1] <= span[-1]
                           and (len(run) == 1 or cover != "valid"
                                or run.step == step))
                 if run_ok:
+                    weights, full = ((0, 0, 0, 0), ()) if prod is None else (
+                        _closed_run(r, p, run[0], run[-1]))
                     buckets = []
-                    entry = [cover, run, buckets, ()]
-                    runs.append(entry)
+                    runs.append((cover, run, buckets, full))
                     at_s = kind == "rationality" and span[-1] - s in run
             if not run_ok:
                 bad_weight += 1
@@ -1028,8 +1027,6 @@ def replay(report):
                 atoms, ctx = prod.atoms, prod.context
                 _, n_theta, n_second, n_third = _atom_tally(atoms)[0]
                 third_only = n_theta == n_second == 0 < n_third
-                if weights is None:
-                    weights, entry[3] = _closed_run(r, p, run[0], run[-1])
                 bucket = _bucket(n_theta, n_second)
                 buckets.append(bucket)
                 recount = rows * weights[bucket]
@@ -1049,13 +1046,13 @@ def replay(report):
                     v.reason, row, run, span, third_only, report, args)
             elif slot == 2:
                 bad_exact += (type(v) is not ValExactly or not leading
-                              or v.value != 1 or not all(
+                              or prod is None or v.value != 1 or not all(
                                   pid in PREMISES for pid in v.premises))
             else:
-                entry = _NEEDS.get(id(v), (None,))
-                if entry[0] is not v:
-                    entry = _NEEDS[id(v)] = v, _rule_needs(v)
-                need = entry[1] if prod is not None else None
+                memo = _NEEDS.get(id(v), (None,))
+                if memo[0] is not v:
+                    memo = _NEEDS[id(v)] = v, _rule_needs(v)
+                need = memo[1] if prod is not None else None
                 # the atoms the rules name must be in the product or context
                 bad_rules += (need is None or need[1] and not xdecomp[at_s]
                               or any(a not in atoms and a not in chern

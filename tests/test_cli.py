@@ -678,6 +678,17 @@ def test_audit_below_bound_exit_2(capsys):
     assert "bound not satisfied" in err
 
 
+@pytest.mark.parametrize("p,s", [(3, -2), (2, -1)])
+def test_audit_negative_s_is_trivial_exit_0(capsys, p, s):
+    """A negative Steenrod degree is trivial because it is negative, not
+    because p - 1 fails to divide it."""
+    code, out, _ = run(capsys, "audit", "-p", str(p), "-n", "2",
+                       "--rationality", "-m", "1", "-s", str(s))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        f"trivial: S^{s} = 0 since {s} < 0 (nothing to audit)")
+
+
 def test_audit_m_out_of_range_with_invalid_s_exit_2(capsys):
     # s = 1 is no Steenrod index at p = 3; m is checked before that
     code, out, err = run(capsys, "audit", "-p", "3", "-n", "2",

@@ -1,4 +1,5 @@
 import pathlib
+import runpy
 import subprocess
 import sys
 import time
@@ -301,3 +302,15 @@ def test_chow_tables_script_subprocess():
                if line.startswith("p=")]
     assert len(headers) == 4
     assert all(line.endswith("[ok]") for line in headers), headers
+
+
+def test_chow_tables_script_exits_1_on_mismatch(monkeypatch, capsys):
+    """A symbol whose tables disagree is tagged MISMATCH and makes the
+    script exit 1."""
+    monkeypatch.setattr(rostchow, "diffs",
+                        lambda left, right: [(1, FREE, ZERO)])
+    monkeypatch.setattr(sys, "argv",
+                        ["chow_tables.py", "--primes", "2", "--max-n", "1"])
+    assert runpy.run_path(str(TABLES))["main"]() == 1
+    assert ("p=2 n=1  b=1 d=1  [MISMATCH (1)]"
+            in capsys.readouterr().out.splitlines())

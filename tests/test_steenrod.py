@@ -1,6 +1,7 @@
 """Cartan expansion, the sigma decomposition, and the divisibility audits."""
 
 import pathlib
+import random
 import runpy
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import child_env
 from rostcalc import steenrod
 from rostcalc.arith import is_prime, multinomial
+from rostcalc.reporting import CheckReport
 from rostcalc.splitring import make_params
 from rostcalc.steenrod import (
     MAX_AUDIT_DIM,
@@ -1065,6 +1067,84 @@ def test_replay_recounts_tallies():
             "class weights recounted"], slot
 
 
+@pytest.mark.parametrize("audit,symbol,args", [
+    (audit_rationality, (3, 2), (2, 2)),
+    (audit_rationality, (2, 3), (3, 4)),
+    (audit_generators, (3, 2), (1, 2)),
+])
+def test_replay_reads_runs_by_value(audit, symbol, args):
+    """A run is a stretch of cases with equal ranges, whether or not they
+    share one range object."""
+    rep = audit(make_params(*symbol), *args)
+    cases = tuple(c._replace(range=range(c.range.start, c.range.stop,
+                                         c.range.step)) for c in rep.cases)
+    assert cases == rep.cases
+    assert all(a.range is not b.range for a, b in zip(cases, cases[1:]))
+    check = replay(replace(rep, cases=cases))
+    assert check.passed, check.failures()
+
+
+def test_replay_rejects_unexpanded_exact_run():
+    """The leading verdict holds at l = 0 alone: widened over the l = 2
+    run of its row, with no product to pin it to l = 0, it fails."""
+    rep = audit_rationality(make_params(3, 2), 2, 2)
+    cases = list(rep.cases)
+    at = next(n for n, c in enumerate(cases) if c.leading)
+    stop = next((n for n in range(at + 1, len(cases))
+                 if cases[n].index[:2] != cases[at].index[:2]), len(cases))
+    assert [c.index[-1] for c in cases[at:stop]] == [0, 2, 2, 2]
+    wide = cases[at]._replace(product=None, range=range(0, 3, 2), weight=2)
+    check = replay(_retallied(rep, cases[:at] + [wide] + cases[stop:]))
+    assert [name for name, _ in check.failures()] == [
+        "exact verdicts are the declared leading premise"]
+
+
+def _perturb_case(rng, cases):
+    """One random perturbation of a report's cases: a product or range
+    dropped, a product, verdict or range copied from another case, leading
+    flipped, or a case duplicated or deleted."""
+    at, other = rng.randrange(len(cases)), rng.choice(cases)
+    how = rng.choice(("drop product", "drop range", "copy product",
+                      "copy verdict", "copy range", "flip leading",
+                      "duplicate", "delete"))
+    case = cases[at]
+    if how == "drop product":
+        cases[at] = case._replace(product=None)
+    elif how == "drop range":
+        cases[at] = case._replace(range=None)
+    elif how == "copy product":
+        cases[at] = case._replace(product=other.product)
+    elif how == "copy verdict":
+        cases[at] = case._replace(verdict=other.verdict)
+    elif how == "copy range":
+        cases[at] = case._replace(range=other.range)
+    elif how == "flip leading":
+        cases[at] = case._replace(leading=not case.leading)
+    elif how == "duplicate":
+        cases.insert(at, case)
+    else:
+        del cases[at]
+
+
+def test_replay_never_raises_on_perturbed_cases():
+    """Replay fails a check on a malformed report instead of raising:
+    seeded trials of one to three case perturbations each, over two
+    rationality and two generators reports."""
+    rng = random.Random(20240)
+    reports = [audit_rationality(make_params(3, 2), 2, 2),
+               audit_rationality(make_params(2, 3), 3, 4),
+               audit_generators(make_params(3, 2), 1, 2),
+               audit_generators(make_params(2, 3), 2, 1)]
+    for trial in range(400):
+        rep = reports[trial % len(reports)]
+        cases = list(rep.cases)
+        for _ in range(rng.randint(1, 3)):
+            if cases:
+                _perturb_case(rng, cases)
+        check = replay(replace(rep, cases=tuple(cases)))
+        assert isinstance(check, CheckReport), trial
+
+
 def test_composition_closed_form_matches_cartan_expand():
     """replay decides a cartan-empty zero in closed form: S^l has a
     composition iff its closed-form count fills some bucket."""
@@ -1482,7 +1562,8 @@ def test_audit_sweep_exits_1_on_failure(monkeypatch, capsys):
 
 
 #: the verdict totals (zero, at-least, exact) recorded in ROADMAP.md, at
-#: the symbols whose sweep takes well under a second
+#: the symbols whose sweep takes a second or less; (5,3), at d = 124, has
+#: the largest dimension of them
 ROADMAP_TOTALS = {
     (2, 3): (5667, 36982, 65),
     (3, 2): (11682, 27463, 32),
@@ -1491,6 +1572,7 @@ ROADMAP_TOTALS = {
     (3, 3): (2918793, 21926061, 277),
     (2, 5): (3648013, 50133810, 1027),
     (11, 2): (289061922, 289185997530, 244),
+    (5, 3): (1905157645, 705229277849, 1496),
 }
 
 
