@@ -1,7 +1,8 @@
 """Sweep the p-divisibility audits over their full argument grids and
 summarize verdict counts and timing: every audit of ``steenrod.claims``,
 replayed, its tallies counted once per m it stands for.  Exits 1 if any
-audit or replay fails.
+audit or replay fails, and 2 with one line on stderr if the symbol is
+invalid or past the audits' size bound.
 
     python3 scripts/audit_sweep.py -p 3 -n 2
 """
@@ -20,12 +21,17 @@ def main():
     ap.add_argument("-p", type=int, default=3)
     ap.add_argument("-n", type=int, default=2)
     args = ap.parse_args()
-    params = make_params(args.p, args.n)
+    try:
+        params = make_params(args.p, args.n)
+        steenrod.check_audit_size(params)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
 
     total = {"zero": 0, "at-least": 0, "exact": 0}
     audits, arguments = Counter(), Counter()  # per audit kind
     failures = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     for _, label, report, ms, replayed in steenrod.claims(params):
         if not report.passed:
             failures += 1
@@ -37,7 +43,7 @@ def main():
         arguments[report.kind] += len(ms)
         for key, count in report.counts().items():
             total[key] += count * len(ms)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
 
     ncases = sum(total.values())
     print(f"p={args.p} n={args.n}: {arguments['rationality']} rationality "

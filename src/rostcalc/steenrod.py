@@ -302,12 +302,6 @@ def cartan_expand(r, l, p):
     return list(_cartan_expand_cached(r, l, p))
 
 
-def _bucket(n_theta, n_second):
-    """The verdict bucket of a term: 0 for two or more thetas, 1 for one
-    theta, 2 for no theta but a second, 3 for thirds only (or none)."""
-    return 0 if n_theta >= 2 else 1 if n_theta else 2 if n_second else 3
-
-
 def _bucket_split(q):
     """Per bucket, how many of the 3^q theta/second/third assignments to q
     positive parts fall in it."""
@@ -502,10 +496,7 @@ class AuditReport:
 
     @property
     def leading(self):
-        for case in self.cases:
-            if case.leading:
-                return case
-        return None
+        return next((case for case in self.cases if case.leading), None)
 
     def counts(self):
         """Verdict tallies over expansion terms (case weights summed)."""
@@ -521,30 +512,26 @@ class AuditReport:
         return lines
 
 
-def _grade(verdict, leading):
-    """(tally slot, ok) of a case: its verdict's slot, and whether the
-    verdict is one a passing audit may hold."""
-    slot = _SLOT.get(type(verdict), 2)
-    if leading:
-        ok = type(verdict) is ValExactly and verdict.value == 1
-    elif slot == 0:
-        ok = verdict.reason in ZERO_REASONS
-    else:
-        ok = slot == 1 and verdict.value >= 2
-    return slot, ok
-
-
 def _conclude(cases, support, pass_text, fail_text):
     """(passed, conclusion, tallies) of an audit, in one pass over its
     cases: the weighted verdict tallies, and what first keeps the audit
     from passing (the number of leading cases, then the first case whose
-    verdict is not allowed, then the first failing support check)."""
-    tallies = [0, 0, 0]
-    n_leading = 0
-    first = None
+    verdict is not allowed, then the first failing support check).  A
+    case's grade is its verdict's tally slot and whether a passing audit
+    may hold that verdict there; the audits share verdicts, so each
+    distinct (verdict, leading) pair is graded once, in ``grades[leading]``
+    by the id of the verdict."""
+    tallies, n_leading, first, grades = [0, 0, 0], 0, None, ({}, {})
     for case in cases:
         _, _, verdict, leading, _, weight = case
-        slot, ok = _grade(verdict, leading)
+        graded = grades[leading].get(id(verdict))
+        if graded is None:
+            slot = _SLOT.get(type(verdict), 2)
+            graded = grades[leading][id(verdict)] = slot, (
+                type(verdict) is ValExactly and verdict.value == 1 if leading
+                else verdict.reason in ZERO_REASONS if slot == 0
+                else slot == 1 and verdict.value >= 2)
+        slot, ok = graded
         n_leading += leading
         tallies[slot] += weight
         if not ok and first is None:
@@ -597,37 +584,32 @@ def _row_plan(r, p, top, budget, l_s):
 
 
 def _row_classes(d, b, s):
-    """The row classes of a rationality audit at s, as [i, j, n] in row
+    """The row classes of a rationality audit at s, as (i, j, n) in row
     order (i outer, j inner) of their first rows (i, j): the rows within d
     that agree on their budget d + s - i - j, on being the leading row
     (d, 0), on b | i and on j > 0, n of them, and the rows with i or j
-    above d, whose n is their number of terms, the sum of budget + 1."""
+    above d, whose n is their number of terms, the sum of budget + 1.  At
+    t = i + j the rows within d are (t, 0) if t <= d, a class of its own,
+    and the i in range(max(1, t - d), min(d, t - 1) + 1), split into the
+    multiples of b and the others, so the classes take O(d + s) steps."""
     total, classes, overflow = d + s, [], 0
     for t in range(1, total + 1):  # t = i + j, so the budget is total - t
-        lo, hi = max(1, t - d), min(d, t)
-        overflow += (t - 1 - hi + lo) * (total - t + 1)
-        here = {}
-        for i in range(lo, hi + 1):
-            key = (i == d and i == t, i % b == 0, i < t)
-            if key in here:
-                here[key][2] += 1
-            else:
-                here[key] = [i, t - i, 1]
-        classes += here.values()
+        lo, hi = max(1, t - d), min(d, t - 1)
+        overflow += (t - max(0, hi - lo + 1) - (t <= d)) * (total - t + 1)
+        if t <= d:
+            classes.append((t, 0, 1))
+        if lo <= hi:
+            mult = hi // b - (lo - 1) // b
+            if mult:
+                first = ((lo - 1) // b + 1) * b
+                classes.append((first, t - first, mult))
+            if hi - lo + 1 > mult:
+                first = lo + 1 if lo % b == 0 else lo
+                classes.append((first, t - first, hi - lo + 1 - mult))
     if overflow:
         # the first row past d: (1, d + 1) once j can pass d, else (d + 1, 0)
-        classes.append([1, d + 1, overflow] if s > 1 else [d + 1, 0, overflow])
+        classes.append((1, d + 1, overflow) if s > 1 else (d + 1, 0, overflow))
     return sorted(classes)
-
-
-def _case(index, rep, ctx, run, weight, leading):
-    """The audit case of a zero verdict, or of a bucket product classified
-    in the context ``ctx``."""
-    if type(rep) is Zero:
-        return _new(AuditCase, (index, None, rep, False, run, weight))
-    prod = _new(SteenProduct, (rep.atoms, rep.scalar, ctx, rep.weight))
-    return _new(AuditCase, (index, prod, valuation_bound(prod), leading, run,
-                            weight))
 
 
 def rationality_grid(params):
@@ -712,15 +694,21 @@ def audit_rationality(params, m, s):
                 (i, j, budget, 0), None, _ZERO["chern-index-overflow"], False,
                 range(budget + 1), rows)))
             continue
-        here = None
+        here, pair, lead = None, (chern[i], chern[j]), i == d and j == 0
         for run, l, rep, weight in _row_plan(step, p, 2 * d, budget,
                                              budget - s):
-            if l != here:
-                here, ctx = l, _new(PairingContext, (
-                    "rationality", params, m, s, step, i, j, budget - l,
-                    l, (chern[i], chern[j])))
-            cases.append(_case((i, j, budget - l, l), rep, ctx, run,
-                               weight * rows, i == d and j == 0 and l == 0))
+            if l != here:  # the cases of a run share its index and context
+                here, index = l, (i, j, budget - l, l)
+                ctx = _new(PairingContext, ("rationality", params, m, s, step,
+                                            i, j, budget - l, l, pair))
+            if type(rep) is Zero:
+                cases.append(_new(AuditCase, (index, None, rep, False, run,
+                                              weight * rows)))
+                continue
+            prod = _new(SteenProduct, (rep.atoms, rep.scalar, ctx, rep.weight))
+            cases.append(_new(AuditCase, (
+                index, prod, valuation_bound(prod), lead and l == 0, run,
+                weight * rows)))
 
     ok, conclusion, tallies = _conclude(
         cases, support,
@@ -742,7 +730,7 @@ def audit_generators(params, m, r):
     verdicts name changes with j.
     """
     check_audit_size(params)
-    p, b, n, d = params.p, params.b, params.n, params.d
+    p, b, n = params.p, params.b, params.n
     if not 1 <= m <= n - 1:
         raise ValueError(f"subvariety exponent m = {m} outside [1, {n - 1}]")
     if not 1 <= r <= p - 1:
@@ -770,14 +758,18 @@ def audit_generators(params, m, r):
          f"compose(projector, sigma^{r}) = sigma^{r}"),
     )
 
-    tables, cases = _weight_sums(r, p, 2 * d)[0], []
+    tables, cases = _weight_sums(r, p, dim_y)[0], []
     for j in range(dim_y + 1):
         i, run = dim_y - j, range(j, j + 1)
         ctx = PairingContext("generators", params, m, j, r, i, j, 0, j,
                              (_atom("chern_y", i),))
-        for rep, weight in [(prod, prod.weight) for prod in tables[j]
-                            if prod] or [(_ZERO["cartan-empty"], 1)]:
-            cases.append(_case((i, j), rep, ctx, run, weight, j == 0))
+        for rep in filter(None, tables[j]):
+            prod = _new(SteenProduct, (rep.atoms, rep.scalar, ctx, rep.weight))
+            cases.append(_new(AuditCase, ((i, j), prod, valuation_bound(prod),
+                                          j == 0, run, rep.weight)))
+        if not any(tables[j]):
+            cases.append(_new(AuditCase, ((i, j), None, _ZERO["cartan-empty"],
+                                          False, run, 1)))
 
     ok, conclusion, tallies = _conclude(
         cases, support,
@@ -889,7 +881,8 @@ def _rule_needs(verdict):
 #: range for a Chern overflow, those whose k is invalid for an invalid
 #: S^k, and all its l, stepped by p - 1 ("valid"), for any other case
 _COVERS = {"chern-index-overflow": "all", "steenrod-index-invalid": "invalid"}
-#: replay's _rule_needs by id(v), not by hashing v; entries hold v alive
+#: replay's tally slot and _rule_needs of a verdict v, by id(v), not by
+#: hashing v; entries hold v alive
 _NEEDS = {}
 
 
@@ -932,16 +925,12 @@ def _recount_class(params, s, i, j):
     t, budget = i + j, d + s - i - j
     if j == 0:
         return (t, i == d, i % b == 0, False), 1, True, budget + 1
-    lo, b_div = max(1, t - d), i % b == 0
-
-    def rows(last):
-        """The rows of the class with i' <= last."""
-        hi = min(d, t - 1, last)
-        mult = hi // b - (lo - 1) // b
-        return mult if b_div else hi - lo + 1 - mult
-
-    n = rows(d)
-    return (t, False, b_div, True), n, rows(i - 1) == 0, n * (budget + 1)
+    lo, hi, b_div = max(1, t - d), min(d, t - 1), i % b == 0
+    # its rows and those before (i, j): the i' <= hi, and <= i - 1, of its kind
+    n, before = hi // b - (lo - 1) // b, (i - 1) // b - (lo - 1) // b
+    if not b_div:
+        n, before = hi - lo + 1 - n, i - lo - before
+    return (t, False, b_div, True), n, before == 0, n * (budget + 1)
 
 
 def replay(report):
@@ -965,6 +954,10 @@ def replay(report):
     and weights only the budget; and the atoms a rule names are chern_x of
     index i >= 1, and of index j exactly when j > 0, so they are rational
     and of positive codimension on every row of the class as on the first.
+
+    Work is done once per row (class, Chern atoms, the fields its contexts
+    share), run (closed-form weights) and context, once per call for each
+    product's atoms (``shapes``) and once for each verdict (``_NEEDS``).
     """
     out = CheckReport(f"replay: {report.title}")
     if not report.cases:
@@ -978,7 +971,7 @@ def replay(report):
     dim_y = p ** m - 1 if kind == "generators" else None
     xdecomp = [_xdecomp_vanishes(kind, params, m, s, at_s)
                for at_s in (False, True)]
-    seen, tallies, covered = set(), [0, 0, 0], 0
+    seen, tallies, covered, shapes = set(), [0, 0, 0], 0, {}
     n_leading = bad_zero = bad_rules = bad_exact = bad_weight = 0
     for row, cases in groupby(report.cases, key=lambda case: case.index[:2]):
         i, j = row
@@ -998,10 +991,15 @@ def replay(report):
             continue
         seen.add(key)
         covered += rows
+        head = (kind, params, m, j if s is None else s, r, i, j)  # of contexts
         bad_weight += not first
         runs, last_run, run_ok = [], None, False
         for _, prod, v, leading, run, weight in cases:
-            slot = _SLOT.get(type(v), 2)
+            memo = _NEEDS.get(id(v), (None,))
+            if memo[0] is not v:
+                slot = _SLOT.get(type(v), 2)
+                memo = _NEEDS[id(v)] = v, slot, slot == 1 and _rule_needs(v)
+            _, slot, need = memo
             n_leading += leading
             if run != last_run:
                 cover = _COVERS.get(getattr(v, "reason", None), "valid")
@@ -1014,7 +1012,7 @@ def replay(report):
                         _closed_run(r, p, run[0], run[-1]))
                     buckets = []
                     runs.append((cover, run, buckets, full))
-                    at_s = kind == "rationality" and span[-1] - s in run
+                    xdecomp_ok = s is not None and xdecomp[span[-1] - s in run]
             if not run_ok:
                 bad_weight += 1
                 continue
@@ -1025,18 +1023,21 @@ def replay(report):
                     else len(run)))
             else:
                 atoms, ctx = prod.atoms, prod.context
-                _, n_theta, n_second, n_third = _atom_tally(atoms)[0]
-                third_only = n_theta == n_second == 0 < n_third
-                bucket = _bucket(n_theta, n_second)
+                shape = shapes.get(id(atoms))
+                if shape is None:  # the entry holds atoms, so its id is theirs
+                    _, n_theta, n_second, n_third = _atom_tally(atoms)[0]
+                    shape = shapes[id(atoms)] = atoms, (
+                        0 if n_theta >= 2 else 1 if n_theta else
+                        2 if n_second else 3), n_theta == n_second == 0 < n_third
+                _, bucket, third_only = shape
                 buckets.append(bucket)
                 recount = rows * weights[bucket]
                 if ctx is not last_ctx:
-                    # the cases of a run share a context, checked once
+                    # a run's cases share a context; a generators one has l = j
                     l, last_ctx = ctx.l, ctx
-                    ctx_ok = l in run and (run[0] > 0 or len(run) == 1) and (
-                        ctx == (kind, params, m, s, r, i, j, span[-1] - l, l,
-                                chern) if kind == "rationality" else
-                        ctx == (kind, params, m, j, r, i, j, 0, j, chern))
+                    ctx_ok = (l in run and (run[0] > 0 or len(run) == 1)
+                              and ctx == (*head, span[-1] - l, l, chern)
+                              and (kind == "rationality" or l == j))
             tallies[slot] += recount
             bad_weight += weight != recount
             if prod is not None and not ctx_ok:
@@ -1048,15 +1049,14 @@ def replay(report):
                 bad_exact += (type(v) is not ValExactly or not leading
                               or prod is None or v.value != 1 or not all(
                                   pid in PREMISES for pid in v.premises))
+            elif prod is None or need is None or need[1] and not xdecomp_ok:
+                bad_rules += 1
             else:
-                memo = _NEEDS.get(id(v), (None,))
-                if memo[0] is not v:
-                    memo = _NEEDS[id(v)] = v, _rule_needs(v)
-                need = memo[1] if prod is not None else None
                 # the atoms the rules name must be in the product or context
-                bad_rules += (need is None or need[1] and not xdecomp[at_s]
-                              or any(a not in atoms and a not in chern
-                                     for a in need[0]))
+                for a in need[0]:
+                    if a not in atoms and a not in chern:
+                        bad_rules += 1
+                        break
         # the class past d is one Chern-overflow zero
         bad_weight += not _row_tiled(span, ks_valid, runs) or (
             key is None and runs[0][0] != "all")

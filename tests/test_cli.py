@@ -523,7 +523,7 @@ SLOW_ARGV = {
     "steenrod verify at (3,4)": (
         2, ["verify", "-p", "3", "-n", "4", "--suite", "steenrod"], 0,
         "49/49 checks passed"),
-    # 128 audits, each replayed and dropped before the next: 4.7-8.6 s and
+    # 128 audits, each replayed and dropped before the next: 3.4-5.6 s and
     # 51 MB peak RSS under its 128 MiB cap on a shared 2-core Xeon
     "steenrod verify at (2,7)": (
         10, ["verify", "-p", "2", "-n", "7", "--suite", "steenrod"], 0,

@@ -646,6 +646,24 @@ def test_generators_replay():
     assert check.passed, check.failures()
 
 
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (3, 3), (2, 5)])
+def test_generators_tables_up_to_dim_y(monkeypatch, p, n):
+    """A generators audit reads S^l only for l <= dim Y = p^m - 1, so its
+    reports equal those built from the full tables up to 2d."""
+    params = make_params(p, n)
+    args = generators_arguments(params)
+    reports = [audit_generators(params, *arg) for arg in args]
+    honest, tops = steenrod._weight_sums, set()
+
+    def full(r, prime, top):
+        tops.add(top)
+        return honest(r, prime, 2 * params.d)
+
+    monkeypatch.setattr(steenrod, "_weight_sums", full)
+    assert [audit_generators(params, *arg) for arg in args] == reports
+    assert tops == {p ** m - 1 for m, _ in args}
+
+
 def test_generators_arguments():
     assert generators_arguments(make_params(3, 2)) == [(1, 1), (1, 2)]
     assert generators_arguments(make_params(2, 3)) == [(1, 1), (2, 1)]
@@ -740,6 +758,41 @@ def test_row_plan_matches_per_l_walk(p, n):
             assert plan == oracle, (p, n, s, budget)
 
 
+def _row_classes_walk(d, b, s):
+    """The per-i oracle of ``steenrod._row_classes``: it walks every i of
+    every t = i + j and keys each row within d by what a verdict reads of
+    it (being the leading row, b | i, j > 0)."""
+    total, classes, overflow = d + s, [], 0
+    for t in range(1, total + 1):
+        lo, hi = max(1, t - d), min(d, t)
+        overflow += (t - 1 - hi + lo) * (total - t + 1)
+        here = {}
+        for i in range(lo, hi + 1):
+            key = (i == d and i == t, i % b == 0, i < t)
+            if key in here:
+                here[key][2] += 1
+            else:
+                here[key] = [i, t - i, 1]
+        classes += map(tuple, here.values())
+    if overflow:
+        classes.append((1, d + 1, overflow) if s > 1 else (d + 1, 0, overflow))
+    return sorted(classes)
+
+
+@pytest.mark.parametrize("p,n", [
+    *((2, n) for n in range(2, 8)), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+    (7, 2), (11, 2), *((p, 1) for p in (2, 3, 5, 7, 11))])
+def test_row_classes_match_per_i_walk(p, n):
+    """The row classes from range arithmetic are the per-i walk's at every
+    Steenrod-valid s, b = 1 (n = 1) included."""
+    params = make_params(p, n)
+    d, b = params.d, params.b
+    assert n > 1 or b == 1
+    for s, _ in rationality_grid(params):
+        assert steenrod._row_classes(d, b, s) == _row_classes_walk(
+            d, b, s), (p, n, s)
+
+
 def _row_cases(report):
     """The row-level oracle of a rationality report: the audit's cases
     before row classes, the cases of each row (i, j) in row order, and a
@@ -760,11 +813,19 @@ def _row_cases(report):
             chern = (SteenAtom("chern_x", i), SteenAtom("chern_x", j))
             for run, l, rep, weight in _row_plan_walk(
                     step, p, 2 * d, budget, budget - s):
-                ctx = PairingContext("rationality", params, m, s, step, i, j,
-                                     budget - l, l, chern)
-                cases.append(steenrod._case(
-                    (i, j, budget - l, l), rep, ctx, run, weight,
-                    i == d and j == 0 and l == 0))
+                index = (i, j, budget - l, l)
+                if isinstance(rep, Zero):
+                    cases.append(AuditCase(index, None, rep, False, run,
+                                           weight))
+                    continue
+                # classified through the module attribute, as the audit does
+                prod = rep._replace(context=PairingContext(
+                    "rationality", params, m, s, step, i, j, budget - l, l,
+                    chern))
+                cases.append(AuditCase(index, prod,
+                                       steenrod.valuation_bound(prod),
+                                       i == d and j == 0 and l == 0, run,
+                                       weight))
     return cases
 
 
@@ -1211,6 +1272,31 @@ def test_audits_do_not_enumerate_compositions(monkeypatch, fresh_tables):
         assert rep.passed and replay(rep).passed, rep.title
 
 
+def test_audits_and_replay_stand_apart(monkeypatch):
+    """Audit and replay are independent derivations: the audits pass with
+    replay's closed forms refusing every call, and replay passes on their
+    reports with the audit's row classes, row plans and tables refusing."""
+    def refuse(*args):
+        raise AssertionError(f"crossed over with {args}")
+
+    reports = []
+    with monkeypatch.context() as patch:
+        for name in ("_recount_class", "_closed_run", "_closed_sums",
+                     "_partitions"):
+            patch.setattr(steenrod, name, refuse)
+        for symbol, rat, gen in (((3, 2), (2, 2), (1, 2)),
+                                 ((2, 3), (3, 5), (2, 1))):
+            params = make_params(*symbol)
+            reports += [audit_rationality(params, *rat),
+                        audit_generators(params, *gen)]
+    assert all(rep.passed for rep in reports)
+    for name in ("_row_classes", "_row_plan", "_weight_sums"):
+        monkeypatch.setattr(steenrod, name, refuse)
+    for rep in reports:
+        check = replay(rep)
+        assert check.passed, (rep.title, check.failures())
+
+
 def _ctx(case):
     return case.product.context if case.product is not None else None
 
@@ -1559,6 +1645,21 @@ def test_audit_sweep_exits_1_on_failure(monkeypatch, capsys):
     assert sweep["main"]() == 1
     assert ("FAIL replay rationality s=0 m<=2: always wrong"
             in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["-p", "4"], "p must be prime, got 4"),
+    (["-p", "2", "-n", "8"],
+     "audit too large: d = 255 at p=2 n=8, more than 128")])
+def test_audit_sweep_refuses_bad_symbols(argv, message, monkeypatch, capsys):
+    """A non-prime p or a symbol past MAX_AUDIT_DIM exits 2 with one line
+    on stderr, not a traceback."""
+    monkeypatch.setattr(sys, "argv", ["audit_sweep.py", *argv])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [message]
 
 
 #: the verdict totals (zero, at-least, exact) recorded in ROADMAP.md, at
