@@ -8,7 +8,7 @@ lower bound.
 import argparse
 
 from rostcalc.arith import INF
-from rostcalc.corresp import projector_iterate, to_tuple
+from rostcalc.corresp import projector_iterate
 from rostcalc.splitring import make_params
 
 
@@ -23,12 +23,12 @@ def main():
         params = make_params(p, 2)
         print(f"p = {p}")
         for r in range(args.max_r + 1):
-            corr, offset = projector_iterate(params, r)
+            t, offset = projector_iterate(params, r)
             off = "inf" if offset == INF else offset
             slack = "" if offset == INF else f"  (bound r+1 = {r + 1})"
             line = f"  r={r}: min val_p(entry - 1) = {off}{slack}"
             if args.show_tuples and p <= 3:
-                line += f"  tuple = {to_tuple(corr)}"
+                line += f"  tuple = {t}"
             print(line)
         print()
 

@@ -16,6 +16,14 @@ from fractions import Fraction
 
 INF = math.inf
 
+# Powers by repeated squaring and every value ``eval`` builds refuse a
+# coefficient whose numerator or denominator has more bits than this, well
+# inside the 4,300 decimal digits Python will print, so a huge exponent
+# fails at once and not after minutes.  make_params refuses a symbol whose
+# b, c or d could pass it, and endalg.invert a tuple whose numerators' lcm
+# would.
+MAX_COEFF_BITS = 10_000
+
 
 def lowest_terms(nums, den: int):
     """The ints nums over a nonzero den, both divided by gcd(den, *nums)

@@ -47,7 +47,7 @@ class Corr(SparseVec):
             return self.scale(other)
         if not isinstance(other, Corr):
             return NotImplemented
-        self._check_params(other)
+        self._check_product(other)
         top = self.params.p - 1
         out = {}
         for (i, j), u in self.nums.items():
@@ -142,14 +142,6 @@ def to_tuple(alpha: Corr) -> EndTuple:
         e.denominator * alpha.den)
 
 
-def from_tuple(params: SymbolParams, t: EndTuple) -> Corr:
-    top = params.p - 1
-    e = params.e
-    return Corr.from_ints(
-        params, {(i, top - i): e.denominator * n for i, n in enumerate(t.nums)},
-        e.numerator * t.den)
-
-
 def sigma(params: SymbolParams) -> Corr:
     """The special correspondence 1 x H - H x 1 (anti-symmetric)."""
     return Corr(params, {(0, 1): 1, (1, 0): -1})
@@ -174,14 +166,14 @@ def rho(params: SymbolParams) -> Corr:
 def rost_projector(params: SymbolParams) -> Corr:
     """pi = (1/e) * sum_i E(i, p-1-i): symmetric idempotent of multiplicity 1
     whose diagonal pullback has degree p."""
-    top = params.p - 1
-    inv_e = 1 / params.e
-    return Corr(params, {(i, top - i): inv_e for i in range(params.p)})
+    top, e = params.p - 1, params.e
+    return Corr.from_ints(
+        params, {(i, top - i): e.denominator for i in range(params.p)}, e.numerator)
 
 
 def projector_iterate(params: SymbolParams, r: int):
     """Form rho' = ((1/e)rho) o ((1/e)rho), raise it to composition power
-    p^r, and return (correspondence, min over i of val_p(entry_i - 1)).
+    p^r, and return (its tuple, min over i of val_p(entry_i - 1)).
 
     The tuple of rho' is (binom(p-1, i)^2)_i, all entries 1 mod p, so the
     minimum offset valuation is >= r+1 (1-unit power growth); it is +inf
@@ -193,5 +185,4 @@ def projector_iterate(params: SymbolParams, r: int):
     rho1 = rho(params).scale(1 / params.e)
     rho_prime = compose(rho1, rho1)
     t = to_tuple(rho_prime) ** (p**r)
-    min_offset = min(val(x - 1, p) for x in t.entries)
-    return from_tuple(params, t), min_offset
+    return t, min(val(x - 1, p) for x in t.entries)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_local, check_prime, lowest_terms, val
+from .arith import MAX_COEFF_BITS, as_local, check_prime, lowest_terms, val
 
 
 @dataclass(frozen=True, init=False)
@@ -130,7 +130,9 @@ def is_rational(t: EndTuple) -> bool:
 def invert(t: EndTuple) -> EndTuple:
     """Entrywise inverse; every entry must be a p-unit.  That holds iff p
     divides neither den nor any numerator: if p divides den, some entry
-    has a numerator prime to p and so negative valuation.
+    has a numerator prime to p and so negative valuation.  ValueError
+    also as soon as the lcm of the numerators, the inverse's unreduced den,
+    passes MAX_COEFF_BITS bits.
 
     If t is rational with entry 0 equal to 1, all entries are 1 mod p and
     the inverse is again rational (the automorphism property).
@@ -139,5 +141,10 @@ def invert(t: EndTuple) -> EndTuple:
     if den % p == 0 or any(n % p == 0 for n in t.nums):
         x = next(x for x in t.entries if val(x, p) != 0)
         raise ValueError("not invertible: entry %s has val_%d = %s" % (x, p, val(x, p)))
-    m = math.lcm(*t.nums)
+    m = 1
+    for n in t.nums:
+        m = math.lcm(m, n)
+        if m.bit_length() > MAX_COEFF_BITS:
+            raise ValueError(f"inverse too large: the lcm of the numerators "
+                             f"would pass {MAX_COEFF_BITS} bits")
     return EndTuple.from_ints(p, [den * (m // n) for n in t.nums], m)

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_local, check_prime, lowest_terms, require_unit
+from .arith import MAX_COEFF_BITS, as_local, check_prime, lowest_terms, require_unit
 from .endalg import EndTuple
 
 
@@ -55,12 +55,10 @@ def make_params(p: int, n: int, e=1) -> SymbolParams:
     return SymbolParams(p=p, n=n, b=b, c=c, d=d, e=e)
 
 
-# Powers by repeated squaring and every value ``eval`` builds refuse a
-# coefficient whose numerator or denominator has more bits than this, well
-# inside the 4,300 decimal digits Python will print, so a huge exponent
-# fails at once and not after minutes.  make_params refuses a symbol whose
-# b, c or d could pass it.
-MAX_COEFF_BITS = 10_000
+# An intersection product visits every pair of terms of its factors to keep
+# those that survive truncation, at about 0.1 s per million pairs; rho*rho
+# at p = 997 is in bound, at p = 1,009 past it.
+MAX_PRODUCT_PAIRS = 10 ** 6
 
 
 def _check_coeff_size(x, what="power"):
@@ -145,6 +143,14 @@ class SparseVec:
     def _check_params(self, other):
         if self.params != other.params:
             raise ValueError("mismatched parameters: %r vs %r" % (self.params, other.params))
+
+    def _check_product(self, other):
+        """_check_params, and refuse an intersection product of more than
+        MAX_PRODUCT_PAIRS term pairs before it visits any of them."""
+        self._check_params(other)
+        if len(self.nums) * len(other.nums) > MAX_PRODUCT_PAIRS:
+            raise ValueError(f"product too large: {len(self.nums)} x {len(other.nums)} "
+                             f"terms, more than {MAX_PRODUCT_PAIRS} term pairs")
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -235,7 +241,7 @@ class ChowClass(SparseVec):
             return self.scale(other)
         if not isinstance(other, ChowClass):
             return NotImplemented
-        self._check_params(other)
+        self._check_product(other)
         top = self.params.p - 1
         out = {}
         for i, u in self.nums.items():

@@ -3,6 +3,7 @@ CheckReport per suite.  These back the command-line `verify` subcommand."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from . import sympow
@@ -162,20 +163,26 @@ def suite_motcoh(params):
 
 def suite_steenrod(params):
     """Every steenrod claim at the symbol (``steenrod.claims``): a line per
-    audit, and one per audit kind for the replays."""
+    audit, and one per audit kind for the replays.  That line also gives
+    the kind's verdict totals, each audit's tallies counted once per m it
+    stands for."""
     from . import steenrod
     report = CheckReport(f"steenrod p={params.p} n={params.n}")
-    counts, failed = {}, {}  # per kind, audits replayed and first failure
-    for name, label, rep, _, replayed in steenrod.claims(params):
+    counts, totals, failed = Counter(), {}, {}  # per kind
+    for name, label, rep, ms, replayed in steenrod.claims(params):
         report.add(label, rep.passed, rep.conclusion)
-        counts[rep.kind] = counts.get(rep.kind, 0) + 1
+        counts[rep.kind] += 1
+        totals.setdefault(rep.kind, Counter()).update(
+            {key: n * len(ms) for key, n in rep.counts().items()})
         failures = replayed.failures()
         if failures:
             failed.setdefault(rep.kind,
                               f"first failure at {name}: {failures[0][0]}")
     for kind, count in counts.items():
+        verdicts = " ".join(f"{key}={n}" for key, n in totals[kind].items())
         report.add(f"trace replay ({kind})", kind not in failed,
-                   failed.get(kind, f"{count} audits replayed"))
+                   f"{failed.get(kind, f'{count} audits replayed')}; "
+                   f"verdicts {verdicts}")
     return report
 
 

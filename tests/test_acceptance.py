@@ -22,7 +22,6 @@ from rostcalc.corresp import (
     rho,
     rost_projector,
     sigma,
-    to_tuple,
     transpose,
 )
 from rostcalc.endalg import EndTuple, identity, invert, is_rational
@@ -127,8 +126,8 @@ def test_criterion_4_projector_iteration():
             for r in range(6):
                 _, offset = projector_iterate(params, r)
                 assert offset == INF or offset >= r + 1, (p, r, offset)
-        corr, offset = projector_iterate(make_params(3, 2), 1)
-        assert to_tuple(corr) == EndTuple(
+        t, offset = projector_iterate(make_params(3, 2), 1)
+        assert t == EndTuple(
             3, (Fraction(1), Fraction(64), Fraction(1)))
         assert offset == 2
 

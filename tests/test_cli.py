@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import ROADMAP_TOTALS, child_env, verdict_totals
 from rostcalc import rostchow, steenrod, verify
 from rostcalc.cli import main
 from rostcalc.reporting import CheckReport
@@ -402,6 +402,12 @@ HOSTILE_ARGV = {
                                  2, _AUDIT_TOO_LARGE),
     "steenrod verify at n=60": (["verify", "-p", "2", "-n", "60", "--suite",
                                  "steenrod"], 2, _AUDIT_TOO_LARGE),
+    "steenrod verify at (2,8)": (["verify", "-p", "2", "-n", "8", "--suite",
+                                  "steenrod"], 2,
+                                 "audit too large: d = 255 at p=2 n=8, "
+                                 "more than 128"),
+    "steenrod verify at p=4": (["verify", "-p", "4", "-n", "2", "--suite",
+                                "steenrod"], 2, "p must be prime, got 4"),
     # refused before the four suites ahead of steenrod run
     "all suites verify at (2,8)": (["verify", "-p", "2", "-n", "8", "--suite",
                                     "all"], 2,
@@ -494,7 +500,15 @@ def run_capped(seconds, *argv, cap=MEMORY_CAP):
     return proc
 
 
-# name -> (seconds, argv, exit code, a line of stdout or of stderr)
+def _replay_line(p, n, kind, audits, zero, at_least, exact):
+    """The trace replay line of a passing steenrod verify report."""
+    return (f"ok: steenrod p={p} n={n}: trace replay ({kind}) -- {audits} "
+            f"audits replayed; verdicts zero={zero} at-least={at_least} "
+            f"exact={exact}")
+
+
+# name -> (seconds, argv, exit code, a line of stdout or of stderr, or a
+# tuple of such lines)
 SLOW_ARGV = {
     "rationality audit at (5,3) s=124": (
         1, ["audit", "-p", "5", "-n", "3", "--rationality", "-m", "0", "-s",
@@ -513,21 +527,34 @@ SLOW_ARGV = {
     # audit, each replayed
     "steenrod verify at (5,3)": (
         2, ["verify", "-p", "5", "-n", "3", "--suite", "steenrod"], 0,
-        "42/42 checks passed"),
+        ("42/42 checks passed",
+         _replay_line(5, 3, "rationality", 32, 1905157488, 705229276893,
+                      1488),
+         _replay_line(5, 3, "generators", 8, 157, 956, 8))),
     "steenrod verify at (11,2)": (
         2, ["verify", "-p", "11", "-n", "2", "--suite", "steenrod"], 0,
-        "25/25 checks passed"),
+        ("25/25 checks passed",
+         _replay_line(11, 2, "rationality", 13, 289061822, 289185997510,
+                      234),
+         _replay_line(11, 2, "generators", 10, 100, 20, 10))),
     "steenrod verify at (2,6)": (
         2, ["verify", "-p", "2", "-n", "6", "--suite", "steenrod"], 0,
-        "71/71 checks passed"),
+        ("71/71 checks passed",
+         _replay_line(2, 6, "rationality", 64, 103294947, 1674030078, 4095),
+         _replay_line(2, 6, "generators", 5, 57, 114, 5))),
     "steenrod verify at (3,4)": (
         2, ["verify", "-p", "3", "-n", "4", "--suite", "steenrod"], 0,
-        "49/49 checks passed"),
+        ("49/49 checks passed",
+         _replay_line(3, 4, "rationality", 41, 709266680, 16148275362, 2460),
+         _replay_line(3, 4, "generators", 6, 118, 440, 6))),
     # 128 audits, each replayed and dropped before the next: 3.4-5.6 s and
     # 51 MB peak RSS under its 128 MiB cap on a shared 2-core Xeon
     "steenrod verify at (2,7)": (
         10, ["verify", "-p", "2", "-n", "7", "--suite", "steenrod"], 0,
-        "136/136 checks passed"),
+        ("136/136 checks passed",
+         _replay_line(2, 7, "rationality", 128, 3085737923, 54697701374,
+                      16383),
+         _replay_line(2, 7, "generators", 6, 120, 240, 6))),
     "params at p = 2^61 - 1": (
         1, ["params", "-p", str(2**61 - 1), "-n", "1"], 0,
         f"d = {2**61 - 2}"),
@@ -545,6 +572,22 @@ SLOW_ARGV = {
     "rho at p = 1000003": (
         1, ["eval", "-p", "1000003", "-n", "1", "rho"], 2,
         "power too large: a coefficient would pass 10000 bits"),
+    # 10,007^2 term pairs, refused before the first is visited
+    "rho*rho at p = 10007": (
+        1, ["eval", "-p", "10007", "-n", "1", "deg(rho*rho)"], 2,
+        "eval error at line 1 column 8: product too large: 10007 x 10007 "
+        "terms, more than 1000000 term pairs"),
+    # the lcm of the C(10006, i) has about 14,400 bits
+    "inv(tuple(rho)) at p = 10007": (
+        1, ["eval", "-p", "10007", "-n", "1", "rational(inv(tuple(rho)))"],
+        2, "eval error at line 1 column 10: inverse too large: the lcm of "
+           "the numerators would pass 10000 bits"),
+    # pi has 1,000,003 terms
+    "mult(pi) at p = 1000003": (
+        2, ["eval", "-p", "1000003", "-n", "1", "mult(pi)"], 0, "1"),
+    "sigma@pi at p = 1000003": (
+        2, ["eval", "-p", "1000003", "-n", "1", "sigma@pi"], 0,
+        "E(0,1) + -1*E(1,0)"),
     "chow both at (7,6)": (
         1, ["chow", "-p", "7", "-n", "6", "--method", "both", "--format",
             "csv"], 0, "117648,p_free"),
@@ -563,10 +606,22 @@ SLOW_ARGV_CAPS = {"steenrod verify at (2,7)": 2 ** 27}
 def test_slow_argv_capped_subprocess(name):
     """Inputs inside the bounds that used to run for minutes end in time
     under a memory cap."""
-    seconds, argv, code, line = SLOW_ARGV[name]
+    seconds, argv, code, lines = SLOW_ARGV[name]
     proc = run_capped(seconds, *argv, cap=SLOW_ARGV_CAPS.get(name, MEMORY_CAP))
     assert proc.returncode == code
-    assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
+    out = (proc.stdout if code == 0 else proc.stderr).splitlines()
+    for line in (lines,) if isinstance(lines, str) else lines:
+        assert line in out
+
+
+def test_slow_argv_pins_the_other_roadmap_totals():
+    """The steenrod verify entries above pin the ROADMAP totals rows that
+    tests/test_steenrod.py does not run in process."""
+    pinned = {(int(argv[2]), int(argv[4])): verdict_totals(lines)
+              for _, argv, _, lines in SLOW_ARGV.values()
+              if argv[-2:] == ["--suite", "steenrod"]}
+    assert pinned == {key: ROADMAP_TOTALS[key]
+                      for key in list(ROADMAP_TOTALS)[6:]}
 
 
 _ENGINES = {"motcoh", "rostchow", "steenrod"}

@@ -40,6 +40,14 @@ def test_invert_examples():
         invert(EndTuple(3, (1, 3, 1)))
 
 
+def test_invert_bounds_the_lcm_of_the_numerators():
+    """An lcm of 10,000 bits inverts; one bit more is refused."""
+    assert invert(EndTuple(3, (2 ** 9999, 1, 1))).den == 2 ** 9999
+    with pytest.raises(ValueError, match="inverse too large: the lcm of the "
+                                         "numerators would pass 10000 bits"):
+        invert(EndTuple(3, (2 ** 5000, 5 ** 2160, 1)))
+
+
 def test_p_scale():
     # p*t is rational for any integral t ...
     assert is_rational(EndTuple(3, (0, 1, 2)).scale(3))

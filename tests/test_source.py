@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import pathlib
+import re
 from collections import Counter
 
 import rostcalc
@@ -105,3 +106,12 @@ def test_tracer_counts_classes_and_verdicts():
     assert tracer.counts["steenrod.verdicts"] == sum(rep.counts().values())
     assert tracer.counts["steenrod.verdicts"] > 2 * len(rep.cases)
     assert spans["steenrod.audit"] == spans["steenrod.replay"] == 1
+
+
+def test_readme_lists_every_script():
+    """README's Scripts section names exactly the files in scripts/."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\* `scripts/([^`]+)`", section, re.M)
+    assert sorted(listed) == sorted(
+        path.name for path in (ROOT / "scripts").iterdir() if path.is_file())

@@ -55,6 +55,18 @@ def test_truncation():
     assert h_power(pr, 0) * h2 == h2
 
 
+def test_product_pair_bound():
+    """A product of more than 10^6 term pairs is refused before the loop;
+    its factors alone are in bound."""
+    pr = make_params(1009, 1)
+    full = ChowClass(pr, {k: 1 for k in range(1009)})
+    assert (full * h_power(pr, 1)).coeff(1008) == 1
+    with pytest.raises(ValueError, match="product too large: 1009 x 1009 "
+                                         "terms, more than 1000000 term "
+                                         "pairs"):
+        full * full
+
+
 def test_degree():
     pr = make_params(3, 2, e=4)
     assert h_power(pr, 2).degree() == 4

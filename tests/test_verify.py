@@ -114,8 +114,10 @@ def test_steenrod_suite_audits_each_s_once(monkeypatch):
         "generators m=1 r=1", "generators m=1 r=2",
         "trace replay (rationality)", "trace replay (generators)"]
     assert report.checks[-2:] == [
-        ("trace replay (rationality)", True, "5 audits replayed"),
-        ("trace replay (generators)", True, "2 audits replayed")]
+        ("trace replay (rationality)", True, "5 audits replayed; verdicts "
+         "zero=11678 at-least=27459 exact=30"),
+        ("trace replay (generators)", True, "2 audits replayed; verdicts "
+         "zero=4 at-least=4 exact=2")]
 
 
 def test_steenrod_suite_fails_on_any_failing_replay(monkeypatch, capsys):
@@ -131,8 +133,9 @@ def test_steenrod_suite_fails_on_any_failing_replay(monkeypatch, capsys):
 
     monkeypatch.setattr(steenrod, "replay", failing_at_s_8)
     (report,) = run_suite("steenrod", P32)
-    assert report.failures() == [("trace replay (rationality)",
-                                  "first failure at s=8: injected failure")]
+    assert report.failures() == [
+        ("trace replay (rationality)", "first failure at s=8: injected "
+         "failure; verdicts zero=11678 at-least=27459 exact=30")]
     assert cli.main(["verify", "-p", "3", "-n", "2",
                      "--suite", "steenrod"]) == 1
     assert ("FAIL: steenrod p=3 n=2: trace replay (rationality) -- first "
