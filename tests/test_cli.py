@@ -615,8 +615,9 @@ def test_slow_argv_capped_subprocess(name):
 
 
 def test_slow_argv_pins_the_other_roadmap_totals():
-    """The steenrod verify entries above pin the ROADMAP totals rows that
-    tests/test_steenrod.py does not run in process."""
+    """The steenrod verify entries above pin the ROADMAP totals rows from
+    (11,2) on; tests/test_steenrod.py runs those through (5,3) in process
+    too."""
     pinned = {(int(argv[2]), int(argv[4])): verdict_totals(lines)
               for _, argv, _, lines in SLOW_ARGV.values()
               if argv[-2:] == ["--suite", "steenrod"]}
