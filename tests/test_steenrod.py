@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product as iter_product
 
 import pytest
@@ -461,7 +462,7 @@ def test_rationality_case_spot_checks():
 
 
 def test_rationality_row_spot_checks():
-    """The runs and cases of single row classes of a report."""
+    """The bands of single first rows of a report."""
     pr = make_params(3, 2)  # b = 4, d = 8
     report = audit_rationality(pr, 2, 2)
     by_row, oracle = {}, {}
@@ -474,50 +475,57 @@ def test_rationality_row_spot_checks():
         return [(c.verdict.reason if isinstance(c.verdict, Zero) else
                  [r.rule for r in c.verdict.rules]
                  if isinstance(c.verdict, ValAtLeast) else "exact",
-                 c.range, c.weight) for c in by_row[row]]
+                 c.range, c.weight, c.band) for c in by_row[row]]
 
     # i or j > d: one overflow zero for the s^2 = 4 rows past d, named by
     # the first, (1, 9) with budget 0, and weighing budget + 1 terms of each
     # of (1, 9), (9, 0), (9, 1) and (10, 0)
-    assert summary((1, 9)) == [("chern-index-overflow", range(1), 5)]
+    assert summary((1, 9)) == [("chern-index-overflow", range(1), 5, None)]
     assert [(c.index, c.weight) for c in oracle[(1, 9)] + oracle[(9, 0)]
             + oracle[(9, 1)] + oracle[(10, 0)]] == [
         ((1, 9, 0, 0), 1), ((9, 0, 1, 0), 2), ((9, 1, 0, 0), 1),
         ((10, 0, 0, 0), 1)]
     assert (9, 0) not in by_row
-    # i + j = 5: (1, 4), (2, 3) and (3, 2) are one class of three rows,
-    # (4, 1) and (5, 0) classes of their own
-    assert [c.weight for c in by_row[(1, 4)]] == [
-        3 * c.weight for c in oracle[(1, 4)]]
-    assert (2, 3) not in by_row and (3, 2) not in by_row
-    assert by_row[(4, 1)] == oracle[(4, 1)]
-    assert by_row[(5, 0)] == oracle[(5, 0)]
-    # budget 9: the l with even k are the odd l, and S^l is empty there
-    assert summary((1, 0)) == [("steenrod-index-invalid", range(10), 5),
-                               ("cartan-empty", range(1, 10, 2), 5)]
-    # budget 8 (k = s = 2 at l = 6): l = 0 alone, l = 2, 4 with the
-    # x-decomposition, l = 6 at k = s, l = 8; the odd l are invalid.  The
-    # buckets of S^l over 2 factors are (0, 1, 1, 1) terms at l = 2,
-    # (1, 5, 4, 2) at l = 4 and 6, and (2, 9, 7, 3) at l = 8.
+    # odd t: the l with even k are the odd l, where S^l is empty, on the
+    # rows (t, 0) at t = 1, 3, 5, 7 (budgets 9, 7, 5, 3)
+    assert summary((1, 0)) == [
+        ("steenrod-index-invalid", range(10), 5 + 4 + 3 + 2, range(1, 9, 2)),
+        ("cartan-empty", range(1, 11, 2), 5 + 4 + 3 + 2, range(1, 9, 2))]
+    # the rows (t, 0) at t = 2, 4, 6, budgets 8, 6, 4 (k = s = 2 at l = 6,
+    # 4, 2): l = 0 alone, l = 2, 4 with the x-decomposition, l = 6 at k = s,
+    # l = 8; the odd l are invalid.  The l = 0 bands break where b | t.
     theta_x = ["theta-carries-p", "x-decomp-vanishes"]
     pair_x = ["rational-pairing", "x-decomp-vanishes"]
     thetas = ["theta-carries-p", "theta-carries-p"]
+    at_2, to_4, to_6 = range(2, 4, 2), range(2, 6, 2), range(2, 8, 2)
     assert summary((2, 0)) == [
-        ("steenrod-index-invalid", range(9), 4),
-        ("rho-pairing-zero", range(1), 1),
-        (thetas, range(2, 6, 2), 1),
-        (theta_x, range(2, 6, 2), 6),
-        (pair_x, range(2, 6, 2), 5),
-        (pair_x, range(2, 6, 2), 3),
-        (thetas, range(6, 8, 2), 1),
-        (["theta-carries-p", "rational-pairing"], range(6, 8, 2), 5),
-        (["split-pairing"], range(6, 8, 2), 4),
-        ("proj1-sigma-power-zero", range(6, 8, 2), 2),
-        (thetas, range(8, 10, 2), 2),
-        (theta_x, range(8, 10, 2), 9),
-        (pair_x, range(8, 10, 2), 7),
-        (pair_x, range(8, 10, 2), 3)]
-    # the ``theta-theta`` bucket of the run l = 2, 4 is empty at l = 2 (one
+        ("steenrod-index-invalid", range(9), 4 + 3 + 2, to_6),
+        ("rho-pairing-zero", range(1), 1, at_2),
+        (thetas, range(2, 6, 2), 1, at_2),
+        (theta_x, range(2, 6, 2), 6 + 1, to_4),
+        (pair_x, range(2, 6, 2), 5 + 1, to_4),
+        (pair_x, range(2, 6, 2), 3 + 1, to_4),
+        (thetas, range(6, 8, 2), 1 + 1, to_4),
+        (["theta-carries-p", "rational-pairing"], range(6, 8, 2), 5 + 5 + 1,
+         to_6),
+        (["split-pairing"], range(6, 8, 2), 4 + 4 + 1, to_6),
+        ("proj1-sigma-power-zero", range(6, 8, 2), 2 + 2 + 1, to_6),
+        (thetas, range(8, 10, 2), 2 + 1 + 1, to_6),
+        (theta_x, range(8, 10, 2), 9 + 6 + 4, to_6),
+        (pair_x, range(8, 10, 2), 7 + 5 + 3, to_6),
+        (pair_x, range(8, 10, 2), 3 + 3 + 1, to_6)]
+    assert summary((4, 0)) == [
+        (["rational-pairing", "x-decomp-vanishes"], range(1), 1,
+         range(4, 6, 2))]
+    assert summary((6, 0)) == [
+        ("rho-pairing-zero", range(1), 1, range(6, 8, 2))]
+    # the run after l_s of the rows (i, t - i), b not dividing i, at
+    # t = 2, 4, 6 is one band named by (1, 1); at t = 8, l_s = 0, its lower
+    # end stops moving with l_s, and a band named by (1, 7) starts
+    assert [c.band for c in by_row[(1, 1)] if c.range[0] > 6] == [to_6] * 4
+    assert [(c.range, c.band) for c in by_row[(1, 7)]] == [
+        (range(2, 4, 2), range(8, 10, 2))] * 3
+    # the theta-theta bucket of the run l = 2, 4 is empty at l = 2 (one
     # positive part), so its product comes from l = 4
     assert by_row[(2, 0)][2].index == (2, 0, 4, 4)
 
@@ -576,7 +584,7 @@ def test_theta_addition_never_weakens_below_threshold():
     rep = audit_rationality(pr, 2, 2)
     theta = SteenAtom("theta", 2)
     seen = 0
-    for case in rep.cases:
+    for case in _row_cases(rep):
         if case.product is None or case.index[3] == 0 or case.leading:
             continue
         v1 = case.verdict
@@ -707,8 +715,110 @@ def _tallies_by_index(cases, p, terms):
     return out
 
 
+# The per-class audit that the band audit replaced, kept as its oracle: the
+# rows of each t split into classes that agree on what a verdict reads of
+# them, and each class's rows into runs of l with a case per bucket.
+
+
+@lru_cache(maxsize=None)
+def _row_plan(r, p, top, budget, l_s):
+    """The cases of a rationality row, l = 0 .. budget with k = s at l_s,
+    as (range of l, representative l, bucket product or zero, weight): an
+    invalid-S^k zero for the l whose k = budget - l is invalid, then the
+    other l, all congruent to the budget mod p - 1.  S^l over r >= 1
+    factors is empty iff p - 1 does not divide l, so those l are one
+    cartan-empty zero, or else runs (l = 0 and l_s alone) with a case per
+    non-empty bucket, weighted from prefix sums, represented at its first l."""
+    step = p - 1
+    tables, sums = steenrod._weight_sums(r, p, top)
+    valid = range(budget % step, budget + 1, step)
+    plan = []
+    if len(valid) <= budget:
+        l = 0 if budget % step else 1
+        plan.append((range(budget + 1), l, Zero("steenrod-index-invalid"),
+                     budget + 1 - len(valid)))
+    if budget % step:
+        return (*plan, (range(valid.start, budget + step, step), valid.start,
+                        Zero("cartan-empty"), len(valid)))
+    edges = sorted(e for e in {0, step, l_s, l_s + step, budget + step}
+                   if e >= 0)
+    for lo, hi in zip(edges, edges[1:]):
+        run = range(lo, hi, step)
+        for bucket, sums_b in enumerate(sums):
+            if sums_b[hi] > sums_b[lo]:
+                l = next(l for l in run if tables[l][bucket])
+                plan.append((run, l, tables[l][bucket],
+                             sums_b[hi] - sums_b[lo]))
+    return tuple(plan)
+
+
+def _row_classes(d, b, s):
+    """The row classes of a rationality audit at s, as (i, j, n) in row
+    order (i outer, j inner) of their first rows (i, j): the rows within d
+    that agree on their budget d + s - i - j, on being the leading row
+    (d, 0), on b | i and on j > 0, n of them, and the rows with i or j
+    above d, whose n is their number of terms, the sum of budget + 1.  At
+    t = i + j the rows within d are (t, 0) if t <= d, a class of its own,
+    and the i in range(max(1, t - d), min(d, t - 1) + 1), split into the
+    multiples of b and the others, so the classes take O(d + s) steps."""
+    total, classes, overflow = d + s, [], 0
+    for t in range(1, total + 1):  # t = i + j, so the budget is total - t
+        lo, hi = max(1, t - d), min(d, t - 1)
+        overflow += (t - max(0, hi - lo + 1) - (t <= d)) * (total - t + 1)
+        if t <= d:
+            classes.append((t, 0, 1))
+        if lo <= hi:
+            mult = hi // b - (lo - 1) // b
+            if mult:
+                first = ((lo - 1) // b + 1) * b
+                classes.append((first, t - first, mult))
+            if hi - lo + 1 > mult:
+                first = lo + 1 if lo % b == 0 else lo
+                classes.append((first, t - first, hi - lo + 1 - mult))
+    if overflow:
+        # the first row past d: (1, d + 1) once j can pass d, else (d + 1, 0)
+        classes.append((1, d + 1, overflow) if s > 1 else (d + 1, 0, overflow))
+    return sorted(classes)
+
+
+def _class_audit(params, m, s):
+    """The rationality audit by row classes: one case set per class,
+    classified on its first row and weighted by its row count."""
+    p, b, d = params.p, params.b, params.d
+    total, step, cases = d + s, p - 1, []
+    for i, j, rows in _row_classes(d, b, s):
+        budget = total - i - j
+        if i > d or j > d:
+            cases.append(AuditCase((i, j, budget, 0), None,
+                                   Zero("chern-index-overflow"), False,
+                                   range(budget + 1), rows))
+            continue
+        chern = (SteenAtom("chern_x", i), SteenAtom("chern_x", j))
+        for run, l, rep, weight in _row_plan(step, p, 2 * d, budget,
+                                             budget - s):
+            index = (i, j, budget - l, l)
+            if isinstance(rep, Zero):
+                cases.append(AuditCase(index, None, rep, False, run,
+                                       weight * rows))
+                continue
+            prod = rep._replace(context=PairingContext(
+                "rationality", params, m, s, step, i, j, budget - l, l, chern))
+            cases.append(AuditCase(index, prod, steenrod.valuation_bound(prod),
+                                   i == d and j == 0 and l == 0, run,
+                                   weight * rows))
+    support = steenrod._rationality_support(params)
+    ok, conclusion, tallies = steenrod._conclude(
+        cases, support,
+        pass_text=f"pass: leading term deg(b_{d})*S^{s}(x_0) has valuation "
+                  "exactly 1; all other terms are zero or in the ideal",
+        fail_text="fail: could not certify rationality modulo the ideal")
+    return AuditReport("rationality", params, (("m", m), ("s", s)),
+                       ("top-chern-degree", "unit-pairing-degree"), support,
+                       tuple(cases), conclusion, ok, tallies)
+
+
 def _row_plan_walk(r, p, top, budget, l_s):
-    """The per-l oracle of ``steenrod._row_plan``: it reads from the bucket
+    """The per-l oracle of ``_row_plan``: it reads from the bucket
     tables where S^l over r factors is empty, l by l, and ends a run
     wherever that changes along the row."""
     step = p - 1
@@ -748,7 +858,7 @@ def test_row_plan_matches_per_l_walk(p, n):
     d = make_params(p, n).d
     for s, _ in rationality_grid(make_params(p, n)):
         for budget in range(d + s):
-            plan = steenrod._row_plan(p - 1, p, 2 * d, budget, budget - s)
+            plan = _row_plan(p - 1, p, 2 * d, budget, budget - s)
             oracle = _row_plan_walk(p - 1, p, 2 * d, budget, budget - s)
             assert [(run.start, run.stop, run.step) for run, *_ in plan] == [
                 (run.start, run.stop, run.step) for run, *_ in oracle]
@@ -756,7 +866,7 @@ def test_row_plan_matches_per_l_walk(p, n):
 
 
 def _row_classes_walk(d, b, s):
-    """The per-i oracle of ``steenrod._row_classes``: it walks every i of
+    """The per-i oracle of ``_row_classes``: it walks every i of
     every t = i + j and keys each row within d by what a verdict reads of
     it (being the leading row, b | i, j > 0)."""
     total, classes, overflow = d + s, [], 0
@@ -786,7 +896,7 @@ def test_row_classes_match_per_i_walk(p, n):
     d, b = params.d, params.b
     assert n > 1 or b == 1
     for s, _ in rationality_grid(params):
-        assert steenrod._row_classes(d, b, s) == _row_classes_walk(
+        assert _row_classes(d, b, s) == _row_classes_walk(
             d, b, s), (p, n, s)
 
 
@@ -826,50 +936,93 @@ def _row_cases(report):
     return cases
 
 
-def _class_key(report, i, j):
-    """The row class of the row (i, j) of a rationality report: None past
-    d, else what a verdict reads of the row (its budget, whether it is the
-    leading row, whether b divides i and whether j > 0)."""
-    d, b, s = report.params.d, report.params.b, dict(report.args)["s"]
+def _kind(report, i, j):
+    """The kind of the row (i, j) of a rationality report: None past d,
+    else "lead" (d, 0), "j0" (t, 0) below d, or "bdiv" or "other" with
+    j > 0 as b divides i or not."""
+    d, b = report.params.d, report.params.b
     if i > d or j > d:
         return None
-    return d + s - i - j, i == d and j == 0, i % b == 0, j > 0
+    if j == 0:
+        return "lead" if i == d else "j0"
+    return "bdiv" if i % b == 0 else "other"
 
 
-def _class_members(report):
-    """Per class key, the rows of the class in row order; the classes in
-    the row order of their first rows."""
+def _band_rows(report, case):
+    """The rows a case stands for, in row order: every row past d for the
+    Chern-overflow zero, else every row of its first row's kind at each t
+    of its band."""
     total = report.params.d + dict(report.args)["s"]
-    members = {}
-    for i in range(1, total + 1):
-        for j in range(total - i + 1):
-            members.setdefault(_class_key(report, i, j), []).append((i, j))
-    return members
+    kind = _kind(report, *case.index[:2])
+    return sorted((i, t - i) for t in (case.band or range(1, total + 1))
+                  for i in range(1, t + 1) if _kind(report, i, t - i) == kind)
 
 
-def _expand_classes(report):
-    """The row-level cases a report stands for: each case of a class's
-    case set once per row of the class, its weight divided by the class
-    size, and the Chern-overflow zero once per row past d with weight
-    budget + 1.  A generators report has a case set per row already."""
+def _plan_position(run, rep, l_s):
+    """Where a run of l lies in its row, k = s at l = l_s: the reason of an
+    unexpanded zero, else l = 0, or before, at or after l_s."""
+    if isinstance(rep, Zero):
+        return rep.reason
+    return ("l=0" if run[0] == 0 else "at" if l_s in run else
+            "before" if run[-1] < l_s else "after")
+
+
+def _slot(report, case, i=None, j=None):
+    """The (position, bucket) of a case, at its first row or at (i, j)."""
+    i, j = case.index[:2] if i is None else (i, j)
+    l_s = report.params.d - i - j
+    return (_plan_position(case.range, case.product or case.verdict, l_s),
+            case.product and _bucket_index(case.product))
+
+
+def _oracle_weight(report, case, band):
+    """The terms of a case's position and bucket over every row of its
+    kind at the t of ``band``, summed from the per-class oracle's plans."""
+    params, s = report.params, dict(report.args)["s"]
+    p, d = params.p, params.d
+    weight = 0
+    for i, j in _band_rows(report, case._replace(band=band)):
+        budget = d + s - i - j
+        weight += sum(
+            w for run, _, rep, w in _row_plan(p - 1, p, 2 * d, budget,
+                                              budget - s)
+            if (_plan_position(run, rep, budget - s),
+                None if isinstance(rep, Zero) else _bucket_index(rep))
+            == _slot(report, case))
+    return weight
+
+
+def _expand_bands(report):
+    """The row-level cases a report stands for: a band's verdict on each
+    row of the band, over that row's run at the band's position and bucket
+    as the per-class oracle's ``_row_plan`` weighs it, and the
+    Chern-overflow zero once per row past d with weight budget + 1; the
+    weights of each band's rows sum to its own.  A generators report has a
+    case per row already."""
     if report.kind != "rationality":
         return list(report.cases)
-    members = _class_members(report)
-    total = report.params.d + dict(report.args)["s"]
+    params, s = report.params, dict(report.args)["s"]
+    p, d = params.p, params.d
     out = []
     for case in report.cases:
-        rows = members[_class_key(report, *case.index[:2])]
-        if case.verdict == Zero("chern-index-overflow"):
-            budgets = [total - i - j for i, j in rows]
-            assert case.weight == sum(budget + 1 for budget in budgets)
-            out += [case._replace(index=(i, j, budget, 0),
-                                  range=range(budget + 1), weight=budget + 1)
-                    for (i, j), budget in zip(rows, budgets)]
-            continue
-        assert case.weight % len(rows) == 0
-        out += [case._replace(index=row + case.index[2:],
-                              weight=case.weight // len(rows))
-                for row in rows]
+        rows = []
+        for i, j in _band_rows(report, case):
+            budget = d + s - i - j
+            if case.band is None:
+                rows.append(case._replace(index=(i, j, budget, 0),
+                                          range=range(budget + 1),
+                                          weight=budget + 1))
+                continue
+            [(run, l, weight)] = [
+                (run, l, w) for run, l, rep, w in _row_plan(
+                    p - 1, p, 2 * d, budget, budget - s)
+                if (_plan_position(run, rep, budget - s),
+                    None if isinstance(rep, Zero) else _bucket_index(rep))
+                == _slot(report, case)]
+            rows.append(case._replace(index=(i, j, budget - l, l), range=run,
+                                      weight=weight, band=None))
+        assert sum(row.weight for row in rows) == case.weight, case
+        out += rows
     return out
 
 
@@ -925,12 +1078,12 @@ def test_class_tallies_match_term_oracle():
 
 
 def test_row_tallies_match_class_oracle():
-    """Row by row and slot by slot, the audit's row classes, expanded back
-    into their rows, weigh their runs as the class-level oracle weighs its
-    classes."""
+    """Row by row and slot by slot, the audit's bands, expanded back into
+    their rows with the band's verdict on each, weigh their runs as the
+    class-level oracle weighs its classes."""
     grouped = 0
     for report in _oracle_audits():
-        rows = _expand_classes(report)
+        rows = _expand_bands(report)
         assert _row_tallies(rows) == _row_tallies(
             _class_cases(report)), report.title
         # the tallies the audit carries are the weighted recount
@@ -941,15 +1094,13 @@ def test_row_tallies_match_class_oracle():
 
 
 def _shape(case):
-    """What a case says of its row, but for the Chern indices: its k and l,
-    range, weight and leading flag, its product without the context, and
-    its verdict with the kind and positive codimension of each atom a rule
-    names."""
+    """What a case's verdict reads of its row, but for the Chern indices:
+    its leading flag, its product's atom tally, and its verdict with the
+    kind and positive codimension of each atom a rule names."""
     v, prod = case.verdict, case.product
     rules = tuple((app.rule, tuple((a.kind, a.poscodim) for a in app.atoms))
                   for app in getattr(v, "rules", ()))
-    return (case.index[2:], case.range, case.weight, case.leading,
-            prod and (prod.atoms, prod.scalar, prod.weight),
+    return (case.leading, prod and tuple(prod.classify().values()),
             _verdict_key(v), rules)
 
 
@@ -963,33 +1114,85 @@ def _rationality_oracle_audits():
 
 
 def test_classes_match_row_oracle():
-    """Class by class, the audit's case sets are the row-level oracle's:
-    one case set per class, in the row order of the first rows that name
-    them; a class's cases are its first row's with every weight times the
-    class size, and every other row of the class has cases of the same
-    shape; the Chern-overflow zero weighs every row past d."""
+    """Band by band, the audit's cases are the row-level oracle's, in the
+    row order of their first rows: a band's case is its first row's oracle
+    case at the same position and bucket with the band's weight, every row
+    of the band has an oracle case there with the same verdict rules, and
+    their weights sum to the band's; the bands cover each oracle case once."""
     for report in _rationality_oracle_audits():
-        row_cases, oracle, sets = _row_cases(report), {}, {}
+        row_cases, oracle = _row_cases(report), {}
         for case in row_cases:
-            oracle.setdefault(case.index[:2], []).append(case)
+            key = (*case.index[:2], *_slot(report, case))
+            assert key not in oracle, key
+            oracle[key] = case
+        firsts = [case.index[:2] for case in report.cases]
+        assert firsts == sorted(firsts), report.title
         for case in report.cases:
-            sets.setdefault(case.index[:2], []).append(case)
-        members = _class_members(report)
-        assert list(sets) == [rows[0] for rows in members.values()]
-        for key, rows in members.items():
-            first = oracle[rows[0]]
-            if key is None:
-                assert sets[rows[0]] == [first[0]._replace(
-                    weight=sum(oracle[row][0].weight for row in rows))]
-                continue
-            assert sets[rows[0]] == [c._replace(weight=c.weight * len(rows))
-                                     for c in first], (report.title, rows)
-            for row in rows[1:]:
-                assert list(map(_shape, oracle[row])) == list(
-                    map(_shape, first)), (report.title, row)
+            rows, slot = _band_rows(report, case), _slot(report, case)
+            assert rows[0] == case.index[:2], (report.title, case.index)
+            first = oracle[(*rows[0], *slot)]
+            assert case == first._replace(weight=case.weight, band=case.band)
+            weight = 0
+            for row in rows:
+                other = oracle.pop((*row, *slot))
+                assert _shape(other) == _shape(first), (report.title, row)
+                weight += other.weight
+            assert weight == case.weight, (report.title, case.index)
+        assert not oracle, report.title
         assert report.tallies == _retallied(report, row_cases).tallies
         check = replay(report)
         assert check.passed, (report.title, check.failures())
+
+
+@lru_cache(maxsize=None)
+def _plan_slots(r, p, d, budget, s):
+    """The (run, weight) of each (position, bucket) of ``_row_plan``."""
+    return {(_plan_position(run, rep, budget - s),
+             None if isinstance(rep, Zero) else _bucket_index(rep)): (run, w)
+            for run, _, rep, w in _row_plan(r, p, 2 * d, budget, budget - s)}
+
+
+#: the symbols whose every s the band audit is checked at against the
+#: per-class oracle audit
+BAND_ORACLE_SYMBOLS = [
+    *((2, n) for n in range(2, 8)), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+    (7, 2), (11, 2), *((p, 1) for p in (2, 3, 5, 7, 11))]
+
+
+@pytest.mark.parametrize("p,n", BAND_ORACLE_SYMBOLS)
+def test_bands_match_class_audit(p, n):
+    """At every s of the symbol, at its largest m, and at the sampled
+    (11,2) arguments: the band audit and the per-class oracle audit give
+    equal tallies, leading case and conclusion, and each band's
+    second-order weight is the sum over its t of the rows of its kind
+    there (replay's ``_kind_rows``) times the closed-form terms
+    (``_closed_run``) of its run there, or the l of its zero."""
+    params = make_params(p, n)
+    step, d, b = p - 1, params.d, params.b
+    kinds = {"j0": steenrod._J0, "lead": steenrod._LEAD,
+             "bdiv": steenrod._BDIV, "other": steenrod._OTHER}
+    args = [(ms[-1], s) for s, ms in rationality_grid(params)]
+    if (p, n) == (11, 2):
+        args += [(0, 0), (20, 90), (0, 120)]
+    for m, s in args:
+        report, oracle = audit_rationality(params, m, s), _class_audit(
+            params, m, s)
+        assert (report.tallies, report.leading._replace(band=None),
+                report.conclusion) == (oracle.tallies, oracle.leading,
+                                       oracle.conclusion), (m, s)
+        for case in report.cases:
+            if case.band is None:
+                continue
+            position, bucket = _slot(report, case)
+            kind, weight = kinds[_kind(report, *case.index[:2])], 0
+            for t in case.band:
+                run, count = _plan_slots(step, p, d, d + s - t, s)[
+                    position, bucket]
+                if bucket is not None:
+                    count = steenrod._closed_run(step, p, run[0],
+                                                 run[-1])[0][bucket]
+                weight += steenrod._kind_rows(d, b, kind, t) * count
+            assert weight == case.weight, (m, s, case.index)
 
 
 def test_m_never_reaches_a_verdict():
@@ -1112,7 +1315,7 @@ def test_replay_recounts_class_weights():
     cases = tuple(c._replace(weight=c.weight + 1) if c.weight > 1 else c
                   for c in rep.cases)
     check = replay(replace(rep, cases=cases))
-    assert [name for name, _ in check.failures()] == ["class weights recounted"]
+    assert [name for name, _ in check.failures()] == ["band weights recounted"]
 
 
 def test_replay_recounts_tallies():
@@ -1122,7 +1325,7 @@ def test_replay_recounts_tallies():
         off = tuple(t + (k == slot) for k, t in enumerate(rep.tallies))
         check = replay(replace(rep, tallies=off))
         assert [name for name, _ in check.failures()] == [
-            "class weights recounted"], slot
+            "band weights recounted"], slot
 
 
 @pytest.mark.parametrize("audit,symbol,args", [
@@ -1131,20 +1334,27 @@ def test_replay_recounts_tallies():
     (audit_generators, (3, 2), (1, 2)),
 ])
 def test_replay_reads_runs_by_value(audit, symbol, args):
-    """A run is a stretch of cases with equal ranges, whether or not they
-    share one range object."""
+    """Replay reads a case's run of l and its band of t by value, whether
+    or not cases share one range object."""
     rep = audit(make_params(*symbol), *args)
-    cases = tuple(c._replace(range=range(c.range.start, c.range.stop,
-                                         c.range.step)) for c in rep.cases)
+
+    def copy(r):
+        return r if r is None else range(r.start, r.stop, r.step)
+
+    cases = tuple(c._replace(range=copy(c.range), band=copy(c.band))
+                  for c in rep.cases)
     assert cases == rep.cases
-    assert all(a.range is not b.range for a, b in zip(cases, cases[1:]))
+    assert all(a.range is not b.range and (a.band is None or a.band is not
+                                            b.band)
+               for a, b in zip(cases, cases[1:]))
     check = replay(replace(rep, cases=cases))
     assert check.passed, check.failures()
 
 
 def test_replay_rejects_unexpanded_exact_run():
     """The leading verdict holds at l = 0 alone: widened over the l = 2
-    run of its row, with no product to pin it to l = 0, it fails."""
+    run of its row, with no product to pin it to l = 0, it fails, and so
+    does the band check, as no position of the row has that run."""
     rep = audit_rationality(make_params(3, 2), 2, 2)
     cases = list(rep.cases)
     at = next(n for n, c in enumerate(cases) if c.leading)
@@ -1154,7 +1364,8 @@ def test_replay_rejects_unexpanded_exact_run():
     wide = cases[at]._replace(product=None, range=range(0, 3, 2), weight=2)
     check = replay(_retallied(rep, cases[:at] + [wide] + cases[stop:]))
     assert [name for name, _ in check.failures()] == [
-        "exact verdicts are the declared leading premise"]
+        "exact verdicts are the declared leading premise",
+        "band weights recounted"]
 
 
 def _perturb_case(rng, cases):
@@ -1215,10 +1426,11 @@ def test_composition_closed_form_matches_cartan_expand():
 
 @pytest.fixture
 def fresh_tables():
-    """Empty the audit's bucket tables and the row plans read from them
-    before and after the test, so that a patched table build is the one
-    they read."""
-    caches = (steenrod._weight_sums, steenrod._row_plan)
+    """Empty the audit's bucket tables and the bands and plans read from
+    them before and after the test, so that a patched table build is the
+    one they read."""
+    caches = (steenrod._weight_sums, steenrod._band_sums, steenrod._bands,
+              _row_plan, _plan_slots)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -1233,9 +1445,12 @@ def test_replay_rejects_dropped_compositions(monkeypatch, fresh_tables,
     """A bucket-table build that loses the terms of S^2 passes the audit,
     and replay, which counts terms in closed form without the tables,
     rejects it.  The generators audit takes the lost S^2 for cartan-empty
-    zeros, whose reason replay refutes.  A rationality row is cartan-empty
-    by the residue of its budget alone, so there the lost terms only
-    shrink the case weights that replay recounts."""
+    zeros, whose reason replay refutes, in a row whose closed-form buckets
+    they do not match.  A rationality row is cartan-empty by the residue of
+    its budget alone, and its bands by thresholds on t, so there the lost
+    terms shrink the band weights that replay recounts, and the bands whose
+    run at their first row is l = 2 alone get a product from l = 4, outside
+    the run, whose context replay refuses."""
     honest = steenrod.substitute_dcmp
     monkeypatch.setattr(
         steenrod, "substitute_dcmp",
@@ -1248,12 +1463,14 @@ def test_replay_rejects_dropped_compositions(monkeypatch, fresh_tables,
     failures = replay(rep).failures()
     if audit is audit_generators:
         assert fooled
-        assert [name for name, _ in failures] == ["zero reasons justified"]
+        assert [name for name, _ in failures] == [
+            "zero reasons justified", "band weights recounted"]
     else:
         assert not fooled
-        assert failures == [("class weights recounted",
-                             "14 bad, tallies (178, 259, 1) recounted as "
-                             "(178, 265, 1)")]
+        assert failures == [("rule premises satisfied", "12 bad"),
+                            ("band weights recounted",
+                             "24 bad, tallies (178, 259, 1) recounted as "
+                             "(179, 318, 1)")]
 
 
 def test_audits_do_not_enumerate_compositions(monkeypatch, fresh_tables):
@@ -1271,15 +1488,22 @@ def test_audits_do_not_enumerate_compositions(monkeypatch, fresh_tables):
 
 def test_audits_and_replay_stand_apart(monkeypatch):
     """Audit and replay are independent derivations: the audits pass with
-    replay's closed forms refusing every call, and replay passes on their
-    reports with the audit's row classes, row plans and tables refusing."""
+    replay's row counts, slots, band recounts and closed forms refusing
+    every call, and replay passes on their reports with the audit's bands,
+    band sums and tables refusing.  Both sides' caches start empty, so no
+    cached result hides a call."""
     def refuse(*args):
         raise AssertionError(f"crossed over with {args}")
 
+    for cache in (steenrod._bands, steenrod._band_sums, steenrod._weight_sums,
+                  steenrod._replay_band, steenrod._row_slots,
+                  steenrod._closed_sums, steenrod._closed_run,
+                  steenrod._partitions):
+        cache.cache_clear()
     reports = []
     with monkeypatch.context() as patch:
-        for name in ("_recount_class", "_closed_run", "_closed_sums",
-                     "_partitions"):
+        for name in ("_kind_rows", "_row_slots", "_replay_band", "_closed_run",
+                     "_closed_sums", "_partitions", "_rule_needs"):
             patch.setattr(steenrod, name, refuse)
         for symbol, rat, gen in (((3, 2), (2, 2), (1, 2)),
                                  ((2, 3), (3, 5), (2, 1))):
@@ -1287,7 +1511,7 @@ def test_audits_and_replay_stand_apart(monkeypatch):
             reports += [audit_rationality(params, *rat),
                         audit_generators(params, *gen)]
     assert all(rep.passed for rep in reports)
-    for name in ("_row_classes", "_row_plan", "_weight_sums"):
+    for name in ("_bands", "_band_sums", "_weight_sums"):
         monkeypatch.setattr(steenrod, name, refuse)
     for rep in reports:
         check = replay(rep)
@@ -1429,19 +1653,13 @@ def _bump_one_weight(rep):
 
 
 def _row_as_overflow(rep):
-    """The cases of a row within d, leading row aside, replaced by one
-    Chern-overflow zero over the whole row."""
+    """The first zero of a row within d, an invalid S^k, a rho pairing or
+    a pushforward, relabeled a Chern-overflow zero."""
     cases = list(rep.cases)
-    for a, b in _runs_of(cases):
-        i, j = cases[a].index[:2]
-        if cases[a].product is not None and not cases[a].leading:
-            budget = rep.params.d + dict(rep.args)["s"] - i - j
-            row = [n for n, c in enumerate(cases) if c.index[:2] == (i, j)]
-            zero = AuditCase((i, j, budget, 0), None,
-                             Zero("chern-index-overflow"), False,
-                             range(budget + 1), budget + 1)
-            return _retallied(rep, cases[:row[0]] + [zero]
-                              + cases[row[-1] + 1:])
+    at = next(n for n, c in enumerate(cases) if isinstance(c.verdict, Zero)
+              and c.band is not None)
+    cases[at] = cases[at]._replace(verdict=Zero("chern-index-overflow"))
+    return replace(rep, cases=tuple(cases))
 
 
 def _drop_a_run(rep):
@@ -1462,105 +1680,106 @@ def _repeat_l0(rep):
     return _retallied(rep, cases[:at + 1] + [copy] + cases[at + 1:])
 
 
-# name -> (how to perturb a report, the check line it fails)
+# name -> (how to perturb a report, the check lines it fails).  A run
+# widened over the next one is no run of its row: the band check fails too.
 ROW_PERTURBATIONS = {
-    "run widened over k = s": (_widen_over_k_eq_s, "rule premises satisfied"),
-    "weight off by one": (_bump_one_weight, "class weights recounted"),
+    "run widened over k = s": (_widen_over_k_eq_s, (
+        "rule premises satisfied", "band weights recounted")),
+    "weight off by one": (_bump_one_weight, ("band weights recounted",)),
     "overflow zero in a row within d": (_row_as_overflow,
-                                        "zero reasons justified"),
-    "gap in a row": (_drop_a_run, "class weights recounted"),
-    "overlap in a row": (_repeat_l0, "class weights recounted"),
+                                        ("zero reasons justified",)),
+    "gap in a row": (_drop_a_run, ("band weights recounted",)),
+    "overlap in a row": (_repeat_l0, ("band weights recounted",)),
 }
 
 
 @pytest.mark.parametrize("symbol,args", [((3, 2), (2, 2)), ((2, 3), (3, 5))])
 @pytest.mark.parametrize("name", sorted(ROW_PERTURBATIONS))
 def test_replay_rejects_perturbed_row(name, symbol, args):
-    perturb, line = ROW_PERTURBATIONS[name]
+    perturb, lines = ROW_PERTURBATIONS[name]
     rep = audit_rationality(make_params(*symbol), *args)
     assert replay(rep).passed
     check = replay(perturb(rep))
-    assert [name for name, _ in check.failures()] == [line]
+    assert [name for name, _ in check.failures()] == list(lines)
 
 
-def _class_sets(rep):
-    """(start, stop, rows) of each case set of a rationality report: its
-    positions in the cases and the rows of its class."""
-    members, cases = _class_members(rep), rep.cases
-    out, start = [], 0
-    for n in range(1, len(cases) + 1):
-        if n == len(cases) or cases[n].index[:2] != cases[start].index[:2]:
-            key = _class_key(rep, *cases[start].index[:2])
-            out.append((start, n, members[key]))
-            start = n
-    return out
+def _oracle_case(rep, row, slot):
+    """The row-level oracle's case at a row and (position, bucket)."""
+    return next(c for c in _row_cases(rep)
+                if c.index[:2] == row and _slot(rep, c) == slot)
 
 
-def _multi_row_class(rep):
-    """The case set of the first class within d of more than one row."""
-    return next((a, b, rows) for a, b, rows in _class_sets(rep)
-                if len(rows) > 1 and _class_key(rep, *rows[0]) is not None)
+def _row_worth(rep, case, t):
+    """The terms of a case's position and bucket in one row of its kind at
+    t (those rows weigh alike)."""
+    rows = _band_rows(rep, case._replace(band=range(t, t + 1)))
+    return _oracle_weight(rep, case, range(t, t + 1)) // len(rows)
 
 
-def _reweighed(cases, rows, n):
-    """The cases of a class of ``rows`` rows, weighed as if it had n."""
-    return [c._replace(weight=c.weight // rows * n) for c in cases]
+def _band_at(rep, case, band):
+    """The case of a case's kind, position and bucket over ``band``: the
+    oracle's case at the first row there, weighed over the band."""
+    first = _band_rows(rep, case._replace(band=band))[0]
+    return _oracle_case(rep, first, _slot(rep, case))._replace(
+        weight=_oracle_weight(rep, case, band), band=band)
 
 
-def _moved(case, row):
-    """A case moved to another row of its class, with that row's index,
-    context and verdict."""
-    i, j = row
-    if case.product is None:
-        return case._replace(index=row + case.index[2:])
-    chern = (SteenAtom("chern_x", i), SteenAtom("chern_x", j))
-    prod = case.product._replace(
-        context=case.product.context._replace(i=i, j=j, chern=chern))
-    return case._replace(index=row + case.index[2:], product=prod,
-                         verdict=valuation_bound(prod))
+def _in_row_order(rep, cases):
+    return _retallied(rep, sorted(cases, key=lambda c: c.index[:2]))
+
+
+def _wide_band(rep, rows=1):
+    """The position of the first band over at least two t, or over more
+    than ``rows`` rows at its first t."""
+    return next(n for n, c in enumerate(rep.cases) if c.band is not None
+                and (len(c.band) > 1 if rows == 1 else len(_band_rows(
+                    rep, c._replace(band=c.band[:1]))) > rows))
 
 
 def _class_size_off_by_one(rep):
-    """A class's case set weighed as if the class had one more row."""
-    a, b, rows = _multi_row_class(rep)
-    cases = list(rep.cases)
-    return _retallied(rep, cases[:a] + _reweighed(cases[a:b], len(rows),
-                                                  len(rows) + 1) + cases[b:])
+    """A band weighed as if its first t had one row more."""
+    cases, at = list(rep.cases), _wide_band(rep, rows=2)
+    case = cases[at]
+    cases[at] = case._replace(
+        weight=case.weight + _row_worth(rep, case, case.band[0]))
+    return _retallied(rep, cases)
 
 
 def _split_class(rep):
-    """A class as two case sets: one for its first row, one for the other
-    rows, named by the second row."""
-    a, b, rows = _multi_row_class(rep)
-    cases = list(rep.cases)
-    head = _reweighed(cases[a:b], len(rows), 1)
-    tail = [_moved(c, rows[1])
-            for c in _reweighed(cases[a:b], len(rows), len(rows) - 1)]
-    return _retallied(rep, cases[:a] + head + tail + cases[b:])
+    """A band split in two where its shape does not change, each part
+    weighed by the oracle and named by its first row."""
+    cases, at = list(rep.cases), _wide_band(rep)
+    case = cases[at]
+    cases[at:at + 1] = [_band_at(rep, case, case.band[:1]),
+                        _band_at(rep, case, case.band[1:])]
+    return _in_row_order(rep, cases)
 
 
 def _one_key_twice(rep):
-    """A class as two case sets named by its first row, one for that row
-    and one, at the end of the report, for the other rows."""
-    a, b, rows = _multi_row_class(rep)
+    """A case of a first row moved to the end of the report, after other
+    first rows: its row names two case sets."""
     cases = list(rep.cases)
-    return _retallied(rep, cases[:a] + _reweighed(cases[a:b], len(rows), 1)
-                      + cases[b:]
-                      + _reweighed(cases[a:b], len(rows), len(rows) - 1))
+    at = next(n for n in range(1, len(cases))
+              if cases[n].index[:2] == cases[n - 1].index[:2]
+              and not cases[n].leading)
+    return _retallied(rep, cases[:at] + cases[at + 1:] + [cases[at]])
 
 
 def _named_by_second_row(rep):
-    """A class's case set named by the second row of the class."""
-    a, b, rows = _multi_row_class(rep)
-    cases = list(rep.cases)
-    return _retallied(rep, cases[:a] + [_moved(c, rows[1])
-                                        for c in cases[a:b]] + cases[b:])
+    """A band named by the second row of its kind at its first t, with
+    that row's index, context and verdict."""
+    cases, at = list(rep.cases), _wide_band(rep, rows=2)
+    case = cases[at]
+    second = _band_rows(rep, case._replace(band=case.band[:1]))[1]
+    cases[at] = _oracle_case(rep, second, _slot(rep, case))._replace(
+        weight=case.weight, band=case.band)
+    return _in_row_order(rep, cases)
 
 
 def _class_left_out(rep):
-    """The case set of a class within d of more than one row left out."""
-    a, b, _ = _multi_row_class(rep)
-    return _retallied(rep, rep.cases[:a] + rep.cases[b:])
+    """The bands named by one first row of more than one row left out."""
+    row = rep.cases[_wide_band(rep, rows=2)].index[:2]
+    return _retallied(rep, [c for c in rep.cases if c.index[:2] != row])
 
 
 def _overflow_off_by_one(rep):
@@ -1572,26 +1791,22 @@ def _overflow_off_by_one(rep):
 
 
 def _j0_row_folded(rep):
-    """The case set of a row (t, 0) (the leading row aside) dropped and its
-    row counted in the class of the same budget and b | i with j > 0."""
-    sets = _class_sets(rep)
-    by_key = {_class_key(rep, *rows[0]): (a, rows) for a, _, rows in sets}
+    """A band of rows (t, 0) dropped and its weight counted in a band of
+    the same position and bucket over some of its t with j > 0."""
     cases = list(rep.cases)
-    for budget, leading, b_div, j_pos in filter(None, by_key):
-        other = by_key.get((budget, False, b_div, True))
-        if not (j_pos or leading) and other:
-            drop = by_key[(budget, False, b_div, False)][0]
-            out = []
-            for a, b, rows in sets:
-                if a == other[0]:
-                    out += _reweighed(cases[a:b], len(rows), len(rows) + 1)
-                elif a != drop:
-                    out += cases[a:b]
-            return _retallied(rep, out)
+    for n, case in enumerate(cases):
+        if _kind(rep, *case.index[:2]) != "j0" or case.band is None:
+            continue
+        for k, other in enumerate(cases):
+            if (other.index[1] > 0 and other.band is not None
+                    and set(other.band) & set(case.band)
+                    and _slot(rep, other) == _slot(rep, case)):
+                cases[k] = other._replace(weight=other.weight + case.weight)
+                return _retallied(rep, cases[:n] + cases[n + 1:])
 
 
-# name -> how to perturb the row classes of a report; each fails "class
-# weights recounted" alone
+# name -> how to perturb the bands of a report; each fails "band weights
+# recounted" alone
 CLASS_PERTURBATIONS = {
     "class size off by one": _class_size_off_by_one,
     "class split in two": _split_class,
@@ -1612,7 +1827,84 @@ def test_replay_rejects_perturbed_class(name, symbol, args):
     assert perturbed.cases != rep.cases
     check = replay(perturbed)
     assert [name for name, _ in check.failures()] == [
-        "class weights recounted"]
+        "band weights recounted"]
+
+
+def _drop_last_t(rep):
+    """A band over two t or more ending a t early, weighed by the oracle
+    over the t it keeps."""
+    cases, at = list(rep.cases), _wide_band(rep)
+    cases[at] = _band_at(rep, cases[at], cases[at].band[:-1])
+    return _retallied(rep, cases)
+
+
+def _overlapping_bands(rep):
+    """A second band of a band's kind, position and bucket from its second
+    t on, named by its first row there and weighed by the oracle."""
+    cases, at = list(rep.cases), _wide_band(rep)
+    return _in_row_order(rep, cases + [
+        _band_at(rep, cases[at], cases[at].band[1:])])
+
+
+def _stretched_past_a_break(rep):
+    """A band ending where its shape changes (l_s = 0 after l_s, or b | t
+    at l = 0 of the rows (t, 0)) stretched over the next t, weighed by the
+    oracle over its t."""
+    cases = list(rep.cases)
+    for at, case in enumerate(cases):
+        if case.band is None:
+            continue
+        longer = range(case.band[0], case.band[-1] + 2 * case.band.step,
+                       case.band.step)
+        if case.band[-1] < rep.params.d + dict(rep.args)["s"] and any(
+                other.band and other.band[0] == longer[-1]
+                and _slot(rep, other) == _slot(rep, case)
+                and _kind(rep, *other.index[:2]) == _kind(
+                    rep, *case.index[:2]) for other in cases):
+            cases[at] = _band_at(rep, case, longer)
+            return _retallied(rep, cases)
+
+
+def _a_row_less(rep):
+    """A band over more than one row weighed as if its last t had one row
+    less."""
+    cases = list(rep.cases)
+    at = next(n for n, c in enumerate(cases) if c.band is not None and len(
+        _band_rows(rep, c)) > 1)
+    case = cases[at]
+    cases[at] = case._replace(
+        weight=case.weight - _row_worth(rep, case, case.band[-1]))
+    return _retallied(rep, cases)
+
+
+# name -> how to perturb the bands of a report; each fails "band weights
+# recounted" alone
+BAND_PERTURBATIONS = {
+    "last t dropped": _drop_last_t,
+    "two overlapping bands": _overlapping_bands,
+    "stretched past a shape break": _stretched_past_a_break,
+    "weight off by one row's worth": _a_row_less,
+}
+
+
+@pytest.mark.parametrize("symbol,args", [((3, 2), (2, 2)), ((2, 3), (3, 5))])
+@pytest.mark.parametrize("name", sorted(BAND_PERTURBATIONS))
+def test_replay_rejects_perturbed_band(name, symbol, args):
+    rep = audit_rationality(make_params(*symbol), *args)
+    assert replay(rep).passed
+    perturbed = BAND_PERTURBATIONS[name](rep)
+    assert perturbed.cases != rep.cases
+    check = replay(perturbed)
+    assert [name for name, _ in check.failures()] == [
+        "band weights recounted"]
+
+
+def test_bands_bound_the_audit_work():
+    """Clock-free: the rationality reports of the (2,6) claims hold 2,028
+    cases in all (94,285 at one case per row class and bucket run)."""
+    params = make_params(2, 6)
+    assert sum(len(report.cases) for _, _, report, _, _ in steenrod.claims(
+        params) if report.kind == "rationality") == 2028
 
 
 # --- the audit sweep: verify's steenrod report ---------------------------------------
