@@ -2,21 +2,26 @@
 
 Payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success /
 all checks pass, 1 a verification or audit failed, 2 invalid input
-(bad flags, non-prime p, parse or type errors, non-unit e).  The Chow,
-motivic-cohomology and Steenrod engines load with the subcommand that runs them.
+(bad flags, non-prime p, parse or type errors, non-unit e).
+
+A cold start imports only what its subcommand runs.  Every subcommand
+loads this module, ``splitring``, ``arith``, and ``verify`` with
+``reporting`` (the parser reads the suite names from ``verify.SUITES``);
+``params`` loads nothing more.  ``chow`` adds ``rostchow`` and ``motcoh``,
+``motcoh`` adds ``motcoh``, ``eval`` adds ``exprlang`` with ``corresp`` and
+``endalg``, ``audit`` adds ``steenrod`` with ``corresp`` and ``endalg``, and
+``verify`` adds the engines of the suites it runs.  ``json`` and ``csv``
+load only for ``--format json`` and ``--format csv``.
 """
 
 import argparse
-import csv
 import functools
 import io
-import json
 import re
 import sys
 from fractions import Fraction
 
 from . import verify
-from .exprlang import VALUE_TYPES, evaluate, parse, to_source
 from .splitring import make_params
 
 FORMATS = ("text", "json", "csv")
@@ -123,8 +128,10 @@ def _write(fmt, doc, header, rows, lines):
     """Write a command's payload to stdout in ``fmt``: ``doc`` as indented
     json, ``header`` and ``rows`` as csv, or ``lines`` as text."""
     if fmt == "json":
+        import json
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -257,18 +264,19 @@ def cmd_verify(ns, params):
 
 
 def cmd_eval(ns, params):
-    ast = parse(ns.expr)
-    result = evaluate(ast, params)
+    from . import exprlang
+    ast = exprlang.parse(ns.expr)
+    result = exprlang.evaluate(ast, params)
     if ns.format == "text":
         # text prints the value alone: build no json document or csv rows
         text = (("true" if result else "false") if isinstance(result, bool)
                 else result)
         _write("text", None, None, None, [text])
         return 0
-    name, header, rows, json_value = VALUE_TYPES[type(result)]
+    name, header, rows, json_value = exprlang.VALUE_TYPES[type(result)]
     rows = rows(result)
     doc = _param_doc(params)
-    doc.update({"expr": to_source(ast), "type": name,
+    doc.update({"expr": exprlang.to_source(ast), "type": name,
                 "value": ([dict(zip(header, row)) for row in rows]
                           if json_value is None else json_value(result))})
     _write(ns.format, doc, header, rows, None)

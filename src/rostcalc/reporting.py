@@ -1,12 +1,12 @@
 """Small pass/fail report container shared by the verification entry points."""
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
-    title: str
-    checks: list = field(default_factory=list)
+    """A titled list of checks, each a (name, ok, detail) triple."""
+
+    def __init__(self, title):
+        self.title = title
+        self.checks = []
 
     def add(self, name, ok, detail=""):
         self.checks.append((name, bool(ok), detail))

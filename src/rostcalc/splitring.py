@@ -9,24 +9,42 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import MAX_COEFF_BITS, as_local, check_prime, lowest_terms, require_unit
-from .endalg import EndTuple
 
 
-@dataclass(frozen=True)
 class SymbolParams:
     """Parameters (p, n) of the symbol with the derived b, c, d and the
-    degree unit e = deg(H^{p-1})."""
+    degree unit e = deg(H^{p-1}).  Immutable; equal parameters are equal
+    and hash alike, so they key caches.  Slots, not a named tuple: the
+    engines read these fields in their inner loops."""
 
-    p: int
-    n: int
-    b: int
-    c: int
-    d: int
-    e: Fraction
+    __slots__ = ("p", "n", "b", "c", "d", "e")
+
+    def __init__(self, p: int, n: int, b: int, c: int, d: int, e: Fraction):
+        for name, value in zip(self.__slots__, (p, n, b, c, d, e)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of SymbolParams")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of SymbolParams")
+
+    def _key(self):
+        return self.p, self.n, self.b, self.c, self.d, self.e
+
+    def __eq__(self, other):
+        if type(other) is not SymbolParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SymbolParams(p=%r, n=%r, b=%r, c=%r, d=%r, e=%r)" % self._key()
 
 
 def make_params(p: int, n: int, e=1) -> SymbolParams:
@@ -66,13 +84,17 @@ def _check_coeff_size(x, what="power"):
     terms, passes MAX_COEFF_BITS.  x is a scalar, a boolean, a SparseVec or
     an EndTuple.  Reducing n/den only shrinks n and den, so a coefficient of
     the last two is reduced only when one of them passes the bound."""
-    if isinstance(x, (SparseVec, EndTuple)):
+    # isinstance(x, Fraction) goes through ABCMeta: slower than the rest of
+    # a small vector's check
+    if isinstance(x, int) or type(x) is Fraction:
+        terms = [(x.numerator, x.denominator)]
+    else:
         den, nums = x.den, x.nums.values() if isinstance(x, SparseVec) else x.nums
         big = den.bit_length() > MAX_COEFF_BITS
+        if not big and max(map(int.bit_length, nums), default=0) <= MAX_COEFF_BITS:
+            return x
         terms = [(n // math.gcd(n, den), den // math.gcd(n, den)) for n in nums
                  if big or n.bit_length() > MAX_COEFF_BITS]
-    else:
-        terms = [(x.numerator, x.denominator)]
     if any(n.bit_length() > MAX_COEFF_BITS or d.bit_length() > MAX_COEFF_BITS
            for n, d in terms):
         raise ValueError(f"{what} too large: a coefficient would pass "

@@ -1,29 +1,22 @@
 """Named verification suites: batteries of exact identity checks, one
-CheckReport per suite.  These back the command-line `verify` subcommand."""
+CheckReport per suite.  These back the command-line `verify` subcommand.
+
+``SUITES`` is the one registry of suite names; the command line reads its
+choices from it.  Each suite imports the engine it checks when it runs, so
+importing this module loads none of them.
+"""
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
-from . import sympow
 from .arith import val
-from .corresp import (
-    basis,
-    comp_power,
-    diag_pullback,
-    mult,
-    rho,
-    rost_projector,
-    sigma,
-    to_tuple,
-    transpose,
-)
-from .endalg import EndTuple, identity, invert, is_rational
 from .reporting import CheckReport
 
 
 def suite_correspondences(params):
+    from .corresp import (basis, comp_power, diag_pullback, mult, rho,
+                          rost_projector, sigma, to_tuple, transpose)
     p, e = params.p, params.e
     report = CheckReport(f"correspondences p={p} n={params.n}")
     sg = sigma(params)
@@ -57,6 +50,7 @@ def suite_correspondences(params):
 
 
 def suite_symmpow(params):
+    from . import sympow
     report = CheckReport(f"symmpow p={params.p} n={params.n}")
     maps = sympow.morphism_table(params)
     for sub in (sympow.verify_somesome(params, maps),
@@ -70,13 +64,14 @@ def suite_symmpow(params):
 def _random_rational_tuple(rng, p):
     """A tuple in the image of the rational endomorphisms: a common integer
     residue plus p times something of nonnegative valuation."""
+    from . import endalg
     residue = rng.randrange(p)
     denoms = [q for q in range(1, 10) if q % p != 0]
     common = math.lcm(*denoms)
     nums = rng.choices(range(-9, 10), k=p)
     dens = rng.choices(denoms, k=p)
     # residue + p * num/den over the common denominator
-    return EndTuple.from_ints(
+    return endalg.EndTuple.from_ints(
         p, [residue * common + p * num * (common // den)
             for num, den in zip(nums, dens)], common)
 
@@ -85,6 +80,9 @@ ENDALG_SAMPLES = 200
 
 
 def suite_endalg(params):
+    import random
+
+    from .endalg import EndTuple, identity, invert, is_rational
     p = params.p
     seed = 1009 * p + params.n
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, formats, exit codes, goldens."""
 
 import contextlib
+import functools
 import io
 import json
 import pathlib
@@ -625,31 +626,57 @@ def test_slow_argv_pins_the_other_roadmap_totals():
                       for key in list(ROADMAP_TOTALS)[6:]}
 
 
-_ENGINES = {"motcoh", "rostchow", "steenrod"}
-
-
-@pytest.mark.parametrize("argv,engines", [
-    (["params", "-p", "3", "-n", "2"], set()),
-    (["eval", "-p", "3", "-n", "2", "rho"], set()),
-    (["verify", "-p", "3", "-n", "2", "--suite", "symmpow"], set()),
-    (["chow", "-p", "3", "-n", "2"], {"rostchow", "motcoh"}),
-    (["motcoh", "-p", "3", "-n", "2", "--row", "even", "--j", "4"],
-     {"motcoh"}),
-    (["audit", "-p", "3", "-n", "2", "--generators", "-m", "1", "-r", "1"],
-     {"steenrod"}),
-])
-def test_subcommand_loads_only_its_engines(argv, engines):
-    """A fresh process that runs one subcommand imports only the engines
-    that subcommand needs (rostchow needs motcoh)."""
-    script = ("import sys; from rostcalc import cli; code = cli.main("
-              "sys.argv[1:]); print(code, *sorted(sys.modules), "
-              "file=sys.stderr)")
+@functools.cache
+def _loaded_modules(*argv):
+    """The exit code of a fresh process that runs ``cli.main(argv)`` (a
+    bare interpreter without argv), and the modules it has loaded by then."""
+    script = ("import sys\n"
+              "code = 0\n"
+              "if sys.argv[1:]:\n"
+              "    from rostcalc import cli\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(code, *sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, timeout=10,
                           env=child_env())
     code, *modules = proc.stderr.split()
-    assert code == "0"
-    assert {m.removeprefix("rostcalc.") for m in modules} & _ENGINES == engines
+    return int(code), frozenset(modules)
+
+
+#: the rostcalc modules every subcommand loads
+_CLI = {"cli", "splitring", "arith", "verify", "reporting"}
+#: standard modules that a subcommand should load only when it uses them
+_STDLIB = {"json", "csv", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv,engines", [
+    (["params", "-p", "3", "-n", "2"], set()),
+    (["eval", "-p", "3", "-n", "2", "rho"],
+     {"exprlang", "corresp", "endalg", "dataclasses"}),
+    (["verify", "-p", "3", "-n", "2", "--suite", "symmpow"],
+     {"sympow", "dataclasses"}),
+    (["chow", "-p", "3", "-n", "2"], {"rostchow", "motcoh", "dataclasses"}),
+    (["motcoh", "-p", "3", "-n", "2", "--row", "even", "--j", "4"],
+     {"motcoh", "dataclasses"}),
+    (["audit", "-p", "3", "-n", "2", "--generators", "-m", "1", "-r", "1"],
+     {"steenrod", "corresp", "endalg", "dataclasses"}),
+    (["verify", "-p", "3", "-n", "2", "--suite", "endalg"],
+     {"endalg", "dataclasses"}),
+    (["params", "-p", "3", "-n", "2", "--format", "json"], {"json"}),
+    (["params", "-p", "3", "-n", "2", "--format", "csv"], {"csv"}),
+])
+def test_subcommand_loads_only_its_engines(argv, engines):
+    """A fresh process that runs one subcommand imports, beyond the modules
+    every subcommand needs, only the rostcalc modules that subcommand runs
+    (rostchow needs motcoh; exprlang and steenrod need corresp and endalg),
+    and of json, csv and dataclasses only those it uses that a bare
+    interpreter does not already have."""
+    _, bare = _loaded_modules()
+    code, modules = _loaded_modules(*argv)
+    assert code == 0
+    loaded = {m.removeprefix("rostcalc.") for m in modules
+              if m.startswith("rostcalc.")}
+    assert loaded | ((modules - bare) & _STDLIB) == _CLI | (engines - bare)
 
 
 @pytest.mark.parametrize("expr", ["(2*pi)^@1000000000", "2^100000000",

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rostcalc.splitring import ChowClass, h_power, make_params
+from rostcalc import steenrod
+from rostcalc.arith import MAX_COEFF_BITS
+from rostcalc.endalg import EndTuple
+from rostcalc.splitring import ChowClass, _check_coeff_size, h_power, make_params
 
 
 def test_params_examples():
@@ -43,6 +46,53 @@ def test_params_rejections():
         make_params(3, 2, e=3)  # non-unit degree
     with pytest.raises(ValueError):
         make_params(3, 2, e=Fraction(3, 2))
+
+
+def test_params_are_immutable_cache_keys():
+    """Equal parameters are equal and hash alike, so a cache keyed on
+    them hits for a second make_params of the same symbol; no field can be
+    assigned or deleted."""
+    a, b = make_params(3, 2), make_params(3, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_params(3, 2, e=2) and a != make_params(3, 3)
+    assert repr(a) == "SymbolParams(p=3, n=2, b=4, c=13, d=8, e=Fraction(1, 1))"
+    steenrod._rationality_support(a)
+    hits = steenrod._rationality_support.cache_info().hits
+    steenrod._rationality_support(b)
+    assert steenrod._rationality_support.cache_info().hits == hits + 1
+    with pytest.raises(AttributeError):
+        a.p = 5
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        del a.p
+    assert (a.p, a.n, a.b, a.c, a.d, a.e) == (3, 2, 4, 13, 8, 1)
+
+
+def test_coeff_size_bound_reads_lowest_terms():
+    """A vector passes while every coefficient in lowest terms has at most
+    MAX_COEFF_BITS bits, even when its common denominator has more."""
+    big, odd = 2 ** (MAX_COEFF_BITS - 1), 3 ** 6000  # 10,000 and 9,510 bits
+    pr = make_params(3, 2)
+    cases = [
+        (ChowClass.from_ints(pr, {0: 2 * big - 1, 1: -1}), True),
+        (ChowClass.from_ints(pr, {0: 2 * big}), False),
+        (ChowClass.from_ints(pr, {0: odd, 2: big}, odd * big), True),
+        (ChowClass.from_ints(pr, {0: 1}, 2 * big), False),
+        (EndTuple.from_ints(2, (odd, big), odd * big), True),
+        (EndTuple.from_ints(2, (1, 0), odd * big), False),
+        (EndTuple.from_ints(2, (-2 * big + 1, 0)), True),
+        (Fraction(1, 2 * big - 1), True),
+        (Fraction(1, 2 * big), False),
+        (2 * big, False),
+        (True, True),
+    ]
+    for value, ok in cases:
+        if ok:
+            assert _check_coeff_size(value) is value
+        else:
+            with pytest.raises(ValueError, match="value too large"):
+                _check_coeff_size(value, "value")
 
 
 def test_truncation():

@@ -52,6 +52,19 @@ def test_run_suite_unknown_name():
         run_suite("nope", P32)
 
 
+def test_check_report_starts_empty_and_reports_each_check():
+    report = CheckReport("t")
+    assert (report.title, report.checks, report.passed) == ("t", [], True)
+    assert report.lines() == [] and report.failures() == []
+    assert CheckReport("u").checks is not report.checks
+    report.add("one", 1)
+    report.add("two", 0, "why")
+    assert report.checks == [("one", True, ""), ("two", False, "why")]
+    assert report.lines() == ["ok: t: one", "FAIL: t: two -- why"]
+    assert report.failures() == [("two", "why")]
+    assert not report.passed
+
+
 def test_report_lines_mention_suite_and_params():
     (report,) = run_suite("correspondences", P32)
     assert all(ln.startswith(("ok: correspondences p=3 n=2:",
