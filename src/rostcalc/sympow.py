@@ -4,10 +4,12 @@ Sym^i(M) has basis e_0..e_i with e_t = 1^{i-t} h^t sitting at twist t*b.
 The morphisms between neighboring symmetric powers (comultiplication a_i,
 multiplication b_i, twist inclusion x_i, contraction y_i = (1 (x) y) o a_i,
 unit projection r_i) become integer matrices here, and the claimed
-identities between them are checked exactly over Z_(p).
+identities between them are checked exactly over Z_(p).  These maps are
+mono- or bidiagonal, so a map stores only its nonzero entries and every
+operation, rank included, works on those: the checks at p handle O(p)
+maps of O(p) entries each.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -15,36 +17,68 @@ from .arith import reduce_mod, val
 from .reporting import CheckReport
 
 
-@dataclass(frozen=True)
-class GradedModule:
-    name: str
-    twists: tuple
+class _Record:
+    """An immutable record over its slots: equal to a record of its own
+    type with an equal key, and hashed by that key."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class GradedModule(_Record):
+    """A free module with basis vectors at the given twists."""
+
+    __slots__ = ("name", "twists")
 
     @property
     def dim(self):
         return len(self.twists)
 
 
-@dataclass(frozen=True)
-class GradedMap:
-    source: GradedModule
-    target: GradedModule
-    matrix: tuple  # rows indexed by target basis, columns by source basis
-    shift: int = 0  # twist added to source degrees
+class GradedMap(_Record):
+    """A map source -> target adding `shift` to twists, stored as its
+    nonzero entries {(row, column): value}: rows index the target basis,
+    columns the source basis.  Construction drops zero values."""
 
-    def __post_init__(self):
-        if len(self.matrix) != self.target.dim or any(
-                len(row) != self.source.dim for row in self.matrix):
-            raise ValueError(
-                f"matrix of {self.source.name}->{self.target.name} is not "
-                f"{self.target.dim}x{self.source.dim}")
-        for r, row in enumerate(self.matrix):
-            for c, entry in enumerate(row):
-                if entry and self.target.twists[r] != self.source.twists[c] + self.shift:
-                    raise ValueError(
-                        f"entry ({r},{c}) of {self.source.name}->{self.target.name} "
-                        f"breaks twist homogeneity"
-                    )
+    __slots__ = ("source", "target", "entries", "shift")
+
+    def __init__(self, source, target, entries, shift=0):
+        entries = {rc: v for rc, v in entries.items() if v}
+        rows, cols = target.twists, source.twists
+        m, n = len(rows), len(cols)
+        for r, c in entries:
+            if not (0 <= r < m and 0 <= c < n):
+                raise ValueError(f"entry ({r},{c}) of {source.name}->{target.name} "
+                                 f"lies outside its {m}x{n} matrix")
+            if rows[r] != cols[c] + shift:
+                raise ValueError(f"entry ({r},{c}) of {source.name}->{target.name} "
+                                 f"breaks twist homogeneity")
+        super().__init__(source, target, entries, shift)
+
+    def _key(self):
+        return self.source, self.target, frozenset(self.entries.items()), self.shift
 
     def __matmul__(self, other):
         if other.target != self.source:
@@ -52,51 +86,38 @@ class GradedMap:
                 f"cannot compose {other.source.name}->{other.target.name} "
                 f"with {self.source.name}->{self.target.name}: inner twists "
                 f"{other.target.twists} and {self.source.twists}")
-        # the maps are mostly zero: multiply only nonzero pairs
-        right = [[(c, b) for c, b in enumerate(row) if b]
-                 for row in other.matrix]
-        cols = other.source.dim
-        prod = []
-        for row in self.matrix:
-            acc = [0] * cols
-            for t, a in enumerate(row):
-                if a:
-                    for c, b in right[t]:
-                        acc[c] += a * b
-            prod.append(tuple(acc))
-        # a product of homogeneous maps over one inner module is homogeneous
-        # with the shifts added, and has the right shape: skip the re-check
-        out = object.__new__(GradedMap)
-        vars(out).update(source=other.source, target=self.target,
-                         matrix=tuple(prod), shift=self.shift + other.shift)
-        return out
+        right = {}
+        for (t, c), b in other.entries.items():
+            right.setdefault(t, []).append((c, b))
+        prod = {}
+        for (r, t), a in self.entries.items():
+            for c, b in right.get(t, ()):
+                prod[r, c] = prod.get((r, c), 0) + a * b
+        return GradedMap(other.source, self.target, prod, self.shift + other.shift)
 
     def __sub__(self, other):
-        if self.source.dim != other.source.dim or self.target.dim != other.target.dim:
-            raise ValueError(
-                f"cannot subtract {other.source.name}->{other.target.name} "
-                f"from {self.source.name}->{self.target.name}")
-        return GradedMap(
-            self.source, self.target,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.matrix, other.matrix)
-            ),
-            shift=self.shift,
-        )
+        if (other.source, other.target, other.shift) != (
+                self.source, self.target, self.shift):
+            raise ValueError(f"cannot subtract {other.source.name}->"
+                             f"{other.target.name} (shift {other.shift}) from "
+                             f"{self.source.name}->{self.target.name} (shift {self.shift})")
+        diff = dict(self.entries)
+        for rc, b in other.entries.items():
+            diff[rc] = diff.get(rc, 0) - b
+        return GradedMap(self.source, self.target, diff, self.shift)
 
     def scale(self, c):
-        return GradedMap(
-            self.source, self.target,
-            tuple(tuple(c * a for a in row) for row in self.matrix),
-            shift=self.shift,
-        )
+        return GradedMap(self.source, self.target,
+                         {rc: c * a for rc, a in self.entries.items()},
+                         self.shift)
 
     def same_matrix(self, other):
-        return self.matrix == other.matrix
+        """Whether the dense matrices are equal, shapes included."""
+        return (self.target.dim, self.source.dim, self.entries) == (
+            other.target.dim, other.source.dim, other.entries)
 
     def is_zero(self):
-        return all(all(a == 0 for a in row) for row in self.matrix)
+        return not self.entries
 
 
 def sym_module(i, params):
@@ -110,11 +131,9 @@ def tensor_with_m(i, params):
     return GradedModule(f"Sym^{i}(x)M", twists)
 
 
-def _mat(rows, cols, entries):
-    m = [[0] * cols for _ in range(rows)]
-    for (r, c), v in entries.items():
-        m[r][c] = v
-    return tuple(tuple(row) for row in m)
+def _diagonal(values, offset=0):
+    """Entries {(t + offset, t): v} for the t-th of values."""
+    return {(t + offset, t): v for t, v in enumerate(values)}
 
 
 def build_morphisms(i, params):
@@ -123,40 +142,26 @@ def build_morphisms(i, params):
         raise ValueError(f"index {i} out of range [1, {params.p - 1}]")
     sym_i = sym_module(i, params)
     sym_prev = sym_module(i - 1, params)
-    tens = tensor_with_m(i - 1, params)
-    dim_prev = i  # basis e_0..e_{i-1}
+    tens = tensor_with_m(i - 1, params)  # basis e_0..e_{i-1}, then (x)h
 
     # a_i(e_t) = (i-t) e_t(x)1 + t e_{t-1}(x)h
-    a_entries = {}
-    for t in range(i + 1):
-        if i - t and t < dim_prev:
-            a_entries[(t, t)] = i - t
-        if t:
-            a_entries[(dim_prev + t - 1, t)] = t
-    a = GradedMap(sym_i, tens, _mat(2 * dim_prev, i + 1, a_entries))
+    a_entries = _diagonal(range(i, 0, -1))
+    a_entries.update({(i + t - 1, t): t for t in range(1, i + 1)})
+    a = GradedMap(sym_i, tens, a_entries)
 
     # b_i(e_t (x) 1) = e_t, b_i(e_t (x) h) = e_{t+1}
-    b_entries = {}
-    for t in range(dim_prev):
-        b_entries[(t, t)] = 1
-        b_entries[(t + 1, dim_prev + t)] = 1
-    b = GradedMap(tens, sym_i, _mat(i + 1, 2 * dim_prev, b_entries))
+    b_entries = _diagonal([1] * i)
+    b_entries.update({(t + 1, i + t): 1 for t in range(i)})
+    b = GradedMap(tens, sym_i, b_entries)
 
     # x_i: Sym^{i-1}(b)[2b] -> Sym^i, e_t -> e_{t+1}
-    x = GradedMap(
-        sym_prev, sym_i,
-        _mat(i + 1, dim_prev, {(t + 1, t): 1 for t in range(dim_prev)}),
-        shift=params.b,
-    )
+    x = GradedMap(sym_prev, sym_i, _diagonal([1] * i, 1), shift=params.b)
 
     # y_i = (1 (x) y) o a_i: e_t -> (i-t) e_t
-    y = GradedMap(
-        sym_i, sym_prev,
-        _mat(dim_prev, i + 1, {(t, t): i - t for t in range(dim_prev)}),
-    )
+    y = GradedMap(sym_i, sym_prev, _diagonal(range(i, 0, -1)))
 
     # r_i: projection onto the e_0 component
-    r = GradedMap(sym_i, sym_module(0, params), _mat(1, i + 1, {(0, 0): 1}))
+    r = GradedMap(sym_i, sym_module(0, params), {(0, 0): 1})
 
     return {"a": a, "b": b, "x": x, "y": y, "r": r}
 
@@ -168,8 +173,7 @@ def morphism_table(params):
 
 
 def identity_map(module):
-    dim = module.dim
-    return GradedMap(module, module, _mat(dim, dim, {(t, t): 1 for t in range(dim)}))
+    return GradedMap(module, module, _diagonal([1] * module.dim))
 
 
 def tensor_map_with_id(f, params):
@@ -177,21 +181,15 @@ def tensor_map_with_id(f, params):
     src = tensor_with_m(f.source.dim - 1, params)
     tgt = tensor_with_m(f.target.dim - 1, params)
     rows, cols = f.target.dim, f.source.dim
-    entries = {}
-    for r in range(rows):
-        for c in range(cols):
-            if f.matrix[r][c]:
-                entries[(r, c)] = f.matrix[r][c]
-                entries[(rows + r, cols + c)] = f.matrix[r][c]
-    return GradedMap(src, tgt, _mat(2 * rows, 2 * cols, entries), shift=f.shift)
+    entries = dict(f.entries)
+    entries.update({(rows + r, cols + c): v for (r, c), v in f.entries.items()})
+    return GradedMap(src, tgt, entries, shift=f.shift)
 
 
 def id_tensor_y(i, params):
     """id_{Sym^i} (x) y: kills the (x)h block, keeps the (x)1 block."""
-    src = tensor_with_m(i, params)
-    tgt = sym_module(i, params)
-    dim = i + 1
-    return GradedMap(src, tgt, _mat(dim, 2 * dim, {(t, t): 1 for t in range(dim)}))
+    return GradedMap(tensor_with_m(i, params), sym_module(i, params),
+                     _diagonal([1] * (i + 1)))
 
 
 def verify_somesome(params, maps):
@@ -263,28 +261,33 @@ def verify_manyi_ccom(params, maps):
     return report
 
 
-def _rank(matrix, p=None):
-    """Row rank by exact elimination: over the rationals, or over F_p when
-    p is given (the entries must then be p-integral)."""
-    if p is None:
-        m = [[Fraction(a) for a in row] for row in matrix]
-    else:
-        m = [[reduce_mod(a, p) for a in row] for row in matrix]
-    rank, cols = 0, (len(m[0]) if m else 0)
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c] if p is None else pow(m[rank][c], -1, p)
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+def _rank(entries, p=None):
+    """Row rank of the matrix with nonzero entries {(row, column): value}
+    by exact elimination on sparse rows: over the rationals, or over F_p
+    when p is given (the entries must then be p-integral)."""
+    rows = {}
+    for (r, c), v in entries.items():
+        v = Fraction(v) if p is None else reduce_mod(v, p)
+        if v:
+            rows.setdefault(r, {})[c] = v
+    pivots = {}  # leading column -> the reduced row that leads there
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            f = row[lead] / piv[lead] if p is None else row[lead] * pow(piv[lead], -1, p)
+            for c, v in piv.items():
+                w = row.get(c, 0) - f * v
                 if p is not None:
-                    m[r] = [a % p for a in m[r]]
-        rank += 1
-    return rank
+                    w %= p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def _split_exact(f, g, p):
@@ -292,8 +295,8 @@ def _split_exact(f, g, p):
     if not (g @ f).is_zero():
         return False, "g f != 0"
     dim = f.target.dim
-    rq_f, rq_g = _rank(f.matrix), _rank(g.matrix)
-    rp_f, rp_g = _rank(f.matrix, p), _rank(g.matrix, p)
+    rq_f, rq_g = _rank(f.entries), _rank(g.entries)
+    rp_f, rp_g = _rank(f.entries, p), _rank(g.entries, p)
     if rq_f + rq_g != dim:
         return False, f"rational ranks {rq_f}+{rq_g} != {dim}"
     if (rp_f, rp_g) != (rq_f, rq_g):
@@ -310,12 +313,8 @@ def verify_triangles(params, maps):
     top = maps[p - 1]
 
     # first: Z((p-1)b) -> Sym^{p-1} -> Sym^{p-2}, inclusion of e_{p-1} against y_{p-1}
-    line = sym_module(0, params)
-    incl = GradedMap(
-        line, sym_module(p - 1, params),
-        _mat(p, 1, {(p - 1, 0): 1}),
-        shift=(p - 1) * params.b,
-    )
+    incl = GradedMap(sym_module(0, params), sym_module(p - 1, params),
+                     {(p - 1, 0): 1}, shift=(p - 1) * params.b)
     ok, why = _split_exact(incl, top["y"], p)
     report.add("first sequence exact and split", ok, why)
     units = [p - 1 - t for t in range(p - 1)]

@@ -194,7 +194,9 @@ SUITES = {
 
 
 #: the largest prime the suites take.  The symmpow suite builds O(p) maps
-#: of O(p^2) entries each; the tests and the benchmark verify at p <= 31.
+#: and stores only their nonzero entries, O(p) per map, so its work grows
+#: as p^2; the tests and the benchmark verify at p <= 31, and the
+#: command-line tests run `--suite all` at this bound.
 MAX_VERIFY_PRIME = 61
 
 

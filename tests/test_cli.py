@@ -556,6 +556,10 @@ SLOW_ARGV = {
          _replay_line(2, 7, "rationality", 128, 3085737923, 54697701374,
                       16383),
          _replay_line(2, 7, "generators", 6, 120, 240, 6))),
+    # the largest prime verify takes, every suite
+    "verify all at p = 61": (
+        1, ["verify", "-p", "61", "-n", "1", "--suite", "all"], 0,
+        "269/269 checks passed"),
     "params at p = 2^61 - 1": (
         1, ["params", "-p", str(2**61 - 1), "-n", "1"], 0,
         f"d = {2**61 - 2}"),
@@ -653,8 +657,7 @@ _STDLIB = {"json", "csv", "dataclasses"}
     (["params", "-p", "3", "-n", "2"], set()),
     (["eval", "-p", "3", "-n", "2", "rho"],
      {"exprlang", "corresp", "endalg", "dataclasses"}),
-    (["verify", "-p", "3", "-n", "2", "--suite", "symmpow"],
-     {"sympow", "dataclasses"}),
+    (["verify", "-p", "3", "-n", "2", "--suite", "symmpow"], {"sympow"}),
     (["chow", "-p", "3", "-n", "2"], {"rostchow", "motcoh", "dataclasses"}),
     (["motcoh", "-p", "3", "-n", "2", "--row", "even", "--j", "4"],
      {"motcoh", "dataclasses"}),
