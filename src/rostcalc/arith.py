@@ -6,11 +6,13 @@ operation that needs it.  A vector of scalars (``SparseVec``,
 ``EndTuple``) is stored as integer numerators over one positive
 denominator in lowest terms, the form ``lowest_terms`` gives.  Every
 entry point checks p with ``is_prime``, one deterministic Miller-Rabin
-test that refuses p it cannot decide exactly.
+test that refuses p it cannot decide exactly and remembers the last 256
+p it decided.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -57,10 +59,12 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME = 3317044064679887385961981
 
 
+# typed, so that 2.0 and True are not answered from the entries of 2 and 1
+@functools.lru_cache(maxsize=256, typed=True)
 def is_prime(p) -> bool:
     """Exact primality by deterministic Miller-Rabin over those of the
     first 13 prime bases that lie below p, proved exact up to MAX_PRIME
-    (about 3.3 * 10^24); a ValueError above it."""
+    (about 3.3 * 10^24); a ValueError above it, raised on every call."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
     if p in _MILLER_RABIN_BASES:

@@ -179,10 +179,8 @@ def cmd_chow(ns, params):
             trace = {j: f"closed: {t}; recurrence: {r}"
                      for (j, t), r in zip(trace.items(), other.trace.values())}
 
-    entries = table.entries
-    provenance = {j: text for j in table.nonzero()
-                  if (text := _provenance(entries[j]))}
-    rows = [(j, desc.kind) for j, desc in entries.items()]
+    provenance = {j: text for j, desc in table.entries.items() if (text := _provenance(desc))}
+    rows = [(j, desc.kind) for j, desc in table.rows()]
     doc = lines = None
     if ns.format == "json":
         groups = [{"j": j, "kind": kind} for j, kind in rows]

@@ -6,10 +6,10 @@ j = b*k - p^i + 1) and a j-induction that consumes the cohomology rows
 of motcoh.  Disagreement between the two raises
 "recurrence inconsistency" / fails compare().
 
-Only n + 2 rows in [0, d] are nonzero: k = 0 there, and eps has at most
-2 + w zeros (motcoh.nonzero_rows).  So both engines fill the d + 1 zero
-entries in one dict.fromkeys and do O(p*n) work on the rest, and the
-recurrence shifts only nonzero entries.  A row's derivation note follows
+Only 1 + (p-1)*n of the d + 1 = p^n entries are nonzero; the recurrence
+reads them off the n + 2 nonzero motcoh rows.  A table stores those alone,
+zero implied at every other j, so both engines and diffs do O(p*n) work
+and only rows() and trace fill all d + 1.  A row's derivation note follows
 from j, its entry and the params, so it is rendered only when read.
 """
 
@@ -39,21 +39,31 @@ FREE = ChowGroupDesc("free")
 @dataclass
 class RostChowTable:
     params: SymbolParams
+    #: the nonzero entries {j: desc} in increasing j; ZERO at every other j
     entries: dict
     #: the engine's derivation note of row j, as note(j, entry, params)
     note: object
 
+    def entry(self, j):
+        return self.entries.get(j, ZERO)
+
+    def rows(self):
+        """(j, entry) for every j in [0, d], in increasing j."""
+        rows = dict.fromkeys(range(self.params.d + 1), ZERO)
+        rows.update(self.entries)
+        return rows.items()
+
     @property
     def trace(self):
         """The derivation note of every row, rendered on each access."""
-        return {j: self.note(j, desc, self.params) for j, desc in self.entries.items()}
+        return {j: self.note(j, desc, self.params) for j, desc in self.rows()}
 
     def nonzero(self):
         return [j for j in sorted(self.entries) if self.entries[j].kind != "zero"]
 
 
-#: the largest table, in rows (d + 1), that either engine builds; at
-#: (2, 60) one would need 2^60 rows
+#: the most rows (d + 1) of a table either engine accepts, which `chow`
+#: prints and the motcoh suite walks; (2, 60) would have 2^60
 MAX_TABLE_ROWS = 2**17
 
 
@@ -76,14 +86,13 @@ def closed_note(j, desc, params):
 def closed_form(params):
     _check_table_size(params)
     b, p = params.b, params.p
-    entries = dict.fromkeys(range(params.d + 1), ZERO)
-    entries[0] = FREE
+    entries = {0: FREE}
     # j = b*k - p^i + 1 lies strictly between b*(k-1) and b*k, since
-    # 1 < p^i < b, so no two entries share a j
+    # 1 < p^i < b, so no two entries share a j and this walk is in increasing j
     for k in range(1, p):
-        entries[b * k] = ChowGroupDesc("p_free", k=k)
-        for i in range(1, params.n):
+        for i in range(params.n - 1, 0, -1):
             entries[b * k - p**i + 1] = ChowGroupDesc("cyclic_p", k=k, i=i)
+        entries[b * k] = ChowGroupDesc("p_free", k=k)
     return RostChowTable(params, entries, closed_note)
 
 
@@ -151,7 +160,7 @@ def recurrence(params):
     for key, want in fixed.items():
         if key[1] <= d:
             _expect_row(rows, key, want, params)
-    entries = dict.fromkeys(range(d + 1), ZERO)
+    entries = {}
     nonzero = []
     for (i, j), row in rows.items():
         if j < b and i == 2 * j:
@@ -159,7 +168,8 @@ def recurrence(params):
             nonzero.append(j)
         elif (i, j) not in fixed:
             _expect_row(rows, (i, j), _ZERO_ROW, params)
-    if entries[0] is not FREE or {entries[j].i for j in nonzero[1:]} != set(range(1, params.n)):
+    if (entries.get(0) is not FREE
+            or {entries[j].i for j in nonzero[1:]} != set(range(1, params.n))):
         raise ValueError("recurrence inconsistency: the rows below b are not Z*1 "
                          "and one omitted-Q class for each i in [1, n-1]")
     entries[b] = ChowGroupDesc("p_free", k=1)
@@ -174,9 +184,11 @@ def recurrence(params):
 
 
 def diffs(left, right):
-    """The rows (j, left entry, right entry) where two tables differ."""
-    return [] if left.entries == right.entries else [
-        (j, desc, right.entries[j]) for j, desc in left.entries.items() if desc != right.entries[j]]
+    """The rows (j, left, right) where two tables differ; a stored ZERO is absent."""
+    if left.entries == right.entries:
+        return []
+    keys = sorted(left.entries.keys() | right.entries.keys())
+    return [(j, left.entry(j), right.entry(j)) for j in keys if left.entry(j) != right.entry(j)]
 
 
 def compare(params):

@@ -132,9 +132,9 @@ def suite_motcoh(params):
     diffs = rostchow.diffs(table, rostchow.recurrence(params))
     report.add("closed form matches recurrence",
                not diffs, f"{len(diffs)} disagreement(s)" if diffs else "")
-    report.add("free rank one at j=0", table.entries[0].kind == "free")
+    report.add("free rank one at j=0", table.entry(0).kind == "free")
     pfree_ok = all(
-        table.entries[params.b * k].kind == "p_free"
+        table.entry(params.b * k).kind == "p_free"
         for k in range(1, params.p) if params.b * k <= params.d)
     report.add("index-p free parts at j = b*k", pfree_ok)
 

@@ -123,3 +123,17 @@ def test_is_prime_refuses_above_proved_range():
         with pytest.raises(ValueError, match="p too large: primality is "
                                              "decided only below"):
             arith.is_prime(q)
+
+
+def test_is_prime_memo_keeps_types_and_refusals_apart():
+    """The memo of is_prime keys on the argument's type as well as its
+    value, and a refusal is never remembered as an answer."""
+    arith.is_prime.cache_clear()
+    assert arith.is_prime(2) and not arith.is_prime(1)
+    assert not arith.is_prime(2.0) and not arith.is_prime(Fraction(2))
+    assert not arith.is_prime(True)
+    assert arith.is_prime(2) and not arith.is_prime(1)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="p too large"):
+            arith.is_prime(arith.MAX_PRIME)
+    assert arith.is_prime.cache_info().currsize == 5

@@ -16,7 +16,8 @@ GRID = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3, 4, 5)] + [(11, 2)]
 
 
 def _kinds(table):
-    return {j: desc.kind for j, desc in sorted(table.entries.items())}
+    """The kind of every row in [0, d], zero rows included."""
+    return {j: desc.kind for j, desc in table.rows()}
 
 
 def hand_table(pr):
@@ -115,7 +116,7 @@ def per_row_recurrence(params):
 def test_recurrence_equals_per_row_oracle(p, n):
     pr = make_params(p, n)
     table = recurrence(pr)
-    assert (table.entries, table.trace) == per_row_recurrence(pr)
+    assert (dict(table.rows()), table.trace) == per_row_recurrence(pr)
 
 
 def test_closed_form_examples():
@@ -278,6 +279,37 @@ def test_diffs_list_each_disagreement():
     right.entries[5] = FREE
     assert rostchow.diffs(left, right) == [
         (2, ChowGroupDesc("cyclic_p", k=1, i=1), ZERO), (5, ZERO, FREE)]
+
+
+def test_diffs_read_rows_only_one_table_stores():
+    """A row stored by one table and not the other is compared against
+    ZERO, and a stored ZERO equals an absent row."""
+    pr = make_params(3, 2)
+    left, right = closed_form(pr), recurrence(pr)
+    del right.entries[6]
+    right.entries[3] = ChowGroupDesc("cyclic_p", k=1, i=1)
+    assert rostchow.diffs(left, right) == [
+        (3, ZERO, ChowGroupDesc("cyclic_p", k=1, i=1)),
+        (6, ChowGroupDesc("cyclic_p", k=2, i=1), ZERO)]
+    assert rostchow.diffs(right, left) == [
+        (3, ChowGroupDesc("cyclic_p", k=1, i=1), ZERO),
+        (6, ZERO, ChowGroupDesc("cyclic_p", k=2, i=1))]
+    left, right = closed_form(pr), recurrence(pr)
+    right.entries[1] = ZERO
+    left.entries[7] = ZERO
+    assert left.entries != right.entries
+    assert rostchow.diffs(left, right) == rostchow.diffs(right, left) == []
+
+
+@pytest.mark.parametrize("p,n", GRID + [(11, 4), (2, 17)])
+def test_engines_store_only_nonzero_entries(p, n):
+    """Both engines store the 1 + (p-1)*n nonzero entries, in increasing
+    j, and no row of the d + 1 = p^n others."""
+    pr = make_params(p, n)
+    for table in (closed_form(pr), recurrence(pr)):
+        assert list(table.entries) == table.nonzero()
+        assert len(table.entries) == 1 + (p - 1) * n
+        assert len(table.rows()) == pr.d + 1
 
 
 def test_trace_is_rendered_from_the_entries():
