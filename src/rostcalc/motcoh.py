@@ -16,13 +16,21 @@ which lies in [0, p + ... + p^n] = [0, p*b].  Since c + 1 = p*b + 2, two
 values of k give values of v more than p*b apart, so at most one k fits:
 k = (j - w - 2) // (c+1).  Then eps is the base-p expansion of v/p, and a
 bidegree has a monomial only if p divides v and every one of its n digits
-is 0 or 1 with nothing left over.  enumerate_monomials therefore does O(n)
-work per bidegree, not a scan of all 2^n eps vectors.
+is 0 or 1 with nothing left over.  With v known, the j-formula gives
+
+    m = j - (c-1)*k - (v - |eps|) - n
+
+without a power of p.  enumerate_monomials therefore does O(n) work per
+bidegree, not a scan of all 2^n eps vectors.  It reads the monomial back
+through bidegree_of, which sums v from eps by Horner's rule in n
+multiply-adds and returns the plain pair (i, j).
 
 nonzero_rows reads the rows H^{2j,j} (w = 0) and H^{2j+1,j} (w = -1) with
 j <= d off the monomials instead.  There k = 0, as (c-1)*k + n > d for
 k >= 1, and m = w + |eps| - n + 2 >= 0 leaves eps at most 2 + w zeros:
-O(n^2) candidates, each fixing m and j, each read back by enumerate_monomials.
+O(n^2) candidates, each fixing m and j.  It tests each candidate's j
+against d before it builds anything, and reads each of the n + 1 or fewer
+survivors back by enumerate_monomials.
 """
 
 from dataclasses import dataclass
@@ -35,19 +43,13 @@ CONSTANT_CLASS = "1"
 
 
 @dataclass(frozen=True)
-class Bidegree:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
 class MCMonomial:
     m: int
     k: int
     eps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(int(b) for b in self.eps))
+        object.__setattr__(self, "eps", tuple(map(int, self.eps)))
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,10 @@ class MCGroup:
     @property
     def is_zero(self):
         return self.label == "0"
+
+
+#: the one group every empty row returns
+ZERO_GROUP = MCGroup((), "0")
 
 
 def delta(params):
@@ -82,12 +88,19 @@ def qtilde(i, params):
 
 
 def bidegree_of(mono, params):
-    if len(mono.eps) != params.n:
-        raise ValueError(f"eps has {len(mono.eps)} bits, expected {params.n}")
-    p, n, c = params.p, params.n, params.c
-    j = mono.m + (c - 1) * mono.k + sum(b * (p ** (t + 1) - 1) for t, b in enumerate(mono.eps)) + n
-    w = mono.m - 2 * mono.k - sum(mono.eps) + (n - 2)
-    return Bidegree(2 * j - w, j)
+    """The bidegree (i, j) of a monomial, with v = sum_t eps_t*p^t summed by
+    Horner's rule."""
+    p, n = params.p, params.n
+    m, k, eps = mono.m, mono.k, mono.eps
+    if len(eps) != n:
+        raise ValueError(f"eps has {len(eps)} bits, expected {n}")
+    v = 0
+    for b in reversed(eps):
+        v = (v + b) * p
+    ones = sum(eps)
+    j = m + (params.c - 1) * k + v - ones + n
+    w = m - 2 * k - ones + (n - 2)
+    return 2 * j - w, j
 
 
 def _eps_of(v, params):
@@ -113,17 +126,17 @@ def enumerate_monomials(i, j, params):
         return [CONSTANT_CLASS]
     if j < 0 or i <= j:
         raise ValueError(f"bidegree ({i}, {j}) outside classification range")
-    p, n, c = params.p, params.n, params.c
+    c = params.c
     w = 2 * j - i
     k, v = divmod(j - w - 2, c + 1)
     eps = _eps_of(v, params) if k >= 0 else None
     if eps is None:
         return []
-    m = j - (c - 1) * k - sum(b * (p ** (t + 1) - 1) for t, b in enumerate(eps)) - n
+    m = j - (c - 1) * k - (v - sum(eps)) - params.n
     if m < 0:
         return []
     mono = MCMonomial(m, k, eps)
-    if bidegree_of(mono, params) != Bidegree(i, j):
+    if bidegree_of(mono, params) != (i, j):
         raise ValueError(f"monomial {mono} does not land in ({i}, {j})")
     if j <= params.d and (mono.k != 0 or mono.eps[-1] != 0):
         raise ValueError(
@@ -133,7 +146,7 @@ def enumerate_monomials(i, j, params):
 
 def _group_from(monos, params):
     if not monos:
-        return MCGroup((), "0")
+        return ZERO_GROUP
     if len(monos) != 1:
         raise ValueError(f"expected at most one monomial family per row, got {monos}")
     mono = monos[0]
@@ -160,19 +173,23 @@ def odd_row(j, params):
 def nonzero_rows(params):
     """The nonzero rows H^{2j,j} and H^{2j+1,j} with 0 <= j <= d, as
     {(i, j): group} in increasing j (see the module docstring)."""
-    n = params.n
+    p, n = params.p, params.n
     rows = {(0, 0): even_row(0, params)}
     for w in (0, -1):
-        for gaps in (g for zeros in range(3 + w)
-                     for g in combinations(range(n), zeros)):
-            eps = tuple(0 if t in gaps else 1 for t in range(n))
-            mono = MCMonomial(w + 2 - len(gaps), 0, eps)
-            # sum_t eps_t*(p^t - 1) + n = c - 1 - sum over the gaps
-            j = params.c - 1 + mono.m - sum(params.p ** (t + 1) - 1 for t in gaps)
-            if j <= params.d:
+        for zeros in range(3 + w):
+            m = w + 2 - zeros
+            for gaps in combinations(range(n), zeros):
+                # sum_t eps_t*(p^t - 1) + n = c - 1 - sum over the gaps
+                j = params.c - 1 + m - sum(p ** (t + 1) - 1 for t in gaps)
+                if j > params.d:
+                    continue
+                eps = tuple(0 if t in gaps else 1 for t in range(n))
                 row = _group_from(enumerate_monomials(2 * j - w, j, params), params)
-                if row.monomials != (mono,):
-                    raise ValueError(f"monomial {mono} does not read back at ({2 * j - w}, {j})")
+                # the readback's monomial is the row's own, so compare fields
+                # rather than build a second copy of it
+                if [(mo.m, mo.k, mo.eps) for mo in row.monomials] != [(m, 0, eps)]:
+                    raise ValueError(f"monomial {MCMonomial(m, 0, eps)} does not read "
+                                     f"back at ({2 * j - w}, {j})")
                 rows[(2 * j - w, j)] = row
     return dict(sorted(rows.items(), key=lambda item: item[0][::-1]))
 
@@ -180,11 +197,14 @@ def nonzero_rows(params):
 def render_monomial(mono, params):
     if mono == CONSTANT_CLASS:
         return "1"
-    if mono.eps == delta(params).eps:
+    n = params.n
+    # the eps of delta, mu and gamma, in that order: at n = 1 delta and mu
+    # share (0,), and delta wins
+    if mono.eps == (0,) * n:
         core = "delta"
-    elif mono.eps == mu(params).eps:
+    elif mono.eps == (1,) * (n - 1) + (0,):
         core = "mu"
-    elif mono.eps == gamma(params).eps:
+    elif mono.eps == (1,) * n:
         core = "gamma"
     else:
         qs = "".join(f"Q{t + 1}" for t, b in enumerate(mono.eps) if b)

@@ -107,11 +107,8 @@ def _bump(desc, j, params):
     raise ValueError(f"recurrence inconsistency: cannot shift kind {desc.kind!r} to j={j}")
 
 
-_ZERO_ROW = motcoh.MCGroup((), "0")
-
-
 def _expect_row(rows, key, want, params):
-    got = rows.get(key, _ZERO_ROW)
+    got = rows.get(key, motcoh.ZERO_GROUP)
     if got != want:
         raise ValueError(
             f"recurrence inconsistency: row H^{{{key[0]},{key[1]}}} is "
@@ -154,9 +151,9 @@ def recurrence(params):
     # j = b: the boundary onto (Z/p)*mu; j = b+1: the degree-1 coefficient
     # family against mu; every other row but the even ones below b vanishes
     mu = motcoh.mu(params)
-    fixed = {(2 * b, b): _ZERO_ROW, (2 * b + 1, b): motcoh.MCGroup((mu,), f"Z/{p}"),
+    fixed = {(2 * b, b): motcoh.ZERO_GROUP, (2 * b + 1, b): motcoh.MCGroup((mu,), f"Z/{p}"),
              (2 * b + 2, b + 1): motcoh.MCGroup((motcoh.MCMonomial(1, 0, mu.eps),), "K_1^s"),
-             (2 * b + 3, b + 1): _ZERO_ROW}
+             (2 * b + 3, b + 1): motcoh.ZERO_GROUP}
     for key, want in fixed.items():
         if key[1] <= d:
             _expect_row(rows, key, want, params)
@@ -167,7 +164,7 @@ def recurrence(params):
             entries[j] = _copied_row(j, row, params)
             nonzero.append(j)
         elif (i, j) not in fixed:
-            _expect_row(rows, (i, j), _ZERO_ROW, params)
+            _expect_row(rows, (i, j), motcoh.ZERO_GROUP, params)
     if (entries.get(0) is not FREE
             or {entries[j].i for j in nonzero[1:]} != set(range(1, params.n))):
         raise ValueError("recurrence inconsistency: the rows below b are not Z*1 "

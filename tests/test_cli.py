@@ -600,6 +600,15 @@ SLOW_ARGV = {
     "chow both at (2,17)": (
         1, ["chow", "-p", "2", "-n", "17", "--method", "both", "--format",
             "csv"], 0, "131071,p_free"),
+    # the label loop reads both rows at each of the 131,072 j: 0.68 s
+    # (median of 7) on a shared 2-core Xeon
+    "motcoh verify at (2,17)": (
+        2, ["verify", "-p", "2", "-n", "17", "--suite", "motcoh"], 0,
+        "6/6 checks passed"),
+    # 117,649 j: 0.37 s (median of 7)
+    "motcoh verify at (7,6)": (
+        1, ["verify", "-p", "7", "-n", "6", "--suite", "motcoh"], 0,
+        "6/6 checks passed"),
 }
 
 

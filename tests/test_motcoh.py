@@ -46,41 +46,49 @@ def closed_odd(j, pr):
 def test_named_bidegrees_p3_n2():
     pr = make_params(3, 2)
     assert bidegree_of(mu(pr), pr) == bidegree_of(MCMonomial(0, 0, (1, 0)), pr)
-    bd = bidegree_of(mu(pr), pr)
-    assert (bd.i, bd.j) == (9, 4) == (2 * pr.b + 1, pr.b)
-    bd = bidegree_of(delta(pr), pr)
-    assert (bd.i, bd.j) == (4, 2) == (pr.n + 2, pr.n)
-    bd = bidegree_of(gamma(pr), pr)
-    assert (bd.i, bd.j) == (26, 12) == (2 * pr.c, pr.c - 1)
+    assert bidegree_of(mu(pr), pr) == (9, 4) == (2 * pr.b + 1, pr.b)
+    assert bidegree_of(delta(pr), pr) == (4, 2) == (pr.n + 2, pr.n)
+    assert bidegree_of(gamma(pr), pr) == (26, 12) == (2 * pr.c, pr.c - 1)
 
 
 @pytest.mark.parametrize("p,n", GRID)
 def test_named_bidegrees_general(p, n):
     pr = make_params(p, n)
-    bd = bidegree_of(mu(pr), pr)
-    assert (bd.i, bd.j) == (2 * pr.b + 1, pr.b)
-    bd = bidegree_of(gamma(pr), pr)
-    assert (bd.i, bd.j) == (2 * pr.c, pr.c - 1)
-    bd = bidegree_of(delta(pr), pr)
-    assert (bd.i, bd.j) == (n + 2, n)
+    assert bidegree_of(mu(pr), pr) == (2 * pr.b + 1, pr.b)
+    assert bidegree_of(gamma(pr), pr) == (2 * pr.c, pr.c - 1)
+    assert bidegree_of(delta(pr), pr) == (n + 2, n)
     for i in range(1, n):
-        bd = bidegree_of(qtilde(i, pr), pr)
-        assert (bd.i, bd.j) == (2 * (pr.b - p**i + 1), pr.b - p**i + 1)
+        assert bidegree_of(qtilde(i, pr), pr) == (2 * (pr.b - p**i + 1), pr.b - p**i + 1)
 
 
 def test_qtilde_examples():
     assert qtilde(1, make_params(3, 2)) == delta(make_params(3, 2))
     pr = make_params(2, 3)
     assert qtilde(1, pr).eps == (0, 1, 0)
-    bd = bidegree_of(qtilde(1, pr), pr)
-    assert (bd.i, bd.j) == (12, 6)
+    assert bidegree_of(qtilde(1, pr), pr) == (12, 6)
     pr = make_params(3, 3)
     assert qtilde(2, pr).eps == (1, 0, 0)
-    assert bidegree_of(qtilde(2, pr), pr).j == 5
+    assert bidegree_of(qtilde(2, pr), pr)[1] == 5
     with pytest.raises(ValueError):
         qtilde(2, make_params(3, 2))
     with pytest.raises(ValueError):
         qtilde(1, make_params(5, 1))
+
+
+def power_m(j, k, eps, pr):
+    """The j-formula solved for m, with one power of p per digit of eps: the
+    oracle of enumerate_monomials' m = j - (c-1)k - (v - |eps|) - n."""
+    return (j - (pr.c - 1) * k - pr.n
+            - sum(b * (pr.p ** (t + 1) - 1) for t, b in enumerate(eps)))
+
+
+def power_bidegree(mono, pr):
+    """(i, j) of a monomial with one power of p per digit of eps: the oracle
+    of bidegree_of's Horner sum."""
+    j = (mono.m + (pr.c - 1) * mono.k + pr.n
+         + sum(b * (pr.p ** (t + 1) - 1) for t, b in enumerate(mono.eps)))
+    w = mono.m - 2 * mono.k - sum(mono.eps) + (pr.n - 2)
+    return 2 * j - w, j
 
 
 def scan_weight(j, pr):
@@ -90,11 +98,10 @@ def scan_weight(j, pr):
     found = {}
     for k in range(j // (pr.c - 1) + 1):
         for eps in product((0, 1), repeat=pr.n):
-            m = (j - (pr.c - 1) * k - pr.n
-                 - sum(b * (pr.p ** (t + 1) - 1) for t, b in enumerate(eps)))
+            m = power_m(j, k, eps, pr)
             if m >= 0:
-                w = m - 2 * k - sum(eps) + (pr.n - 2)
-                found.setdefault(2 * j - w, []).append(MCMonomial(m, k, eps))
+                mono = MCMonomial(m, k, eps)
+                found.setdefault(power_bidegree(mono, pr)[0], []).append(mono)
     return {i: sorted(monos, key=lambda mo: (mo.m, mo.k, mo.eps))
             for i, monos in found.items()}
 
@@ -119,14 +126,40 @@ def test_digits_match_the_scan(p, n):
     assert {eps for _, eps in seen} == set(product((0, 1), repeat=n))
 
 
+#: monomials at (2,60), where v has up to 61 bits
+HUGE_MONOMIALS = [MCMonomial(3, 10**18, (1, 0) * 30), MCMonomial(0, 0, (1,) * 60),
+                  MCMonomial(7, 1, (0,) * 59 + (1,)), MCMonomial(0, 2, (0, 1) * 30)]
+
+
 def test_huge_bidegrees_cost_n_digits():
     pr = make_params(2, 60)
     assert enumerate_monomials(200, 100, pr) == []
-    mono = MCMonomial(3, 10**18, (1, 0) * 30)
-    bd = bidegree_of(mono, pr)
-    assert enumerate_monomials(bd.i, bd.j, pr) == [mono]
+    mono = HUGE_MONOMIALS[0]
+    assert enumerate_monomials(*bidegree_of(mono, pr), pr) == [mono]
     pr = make_params(2, 1)
     assert enumerate_monomials(2 * 10**18 + 1, 10**18, pr) == []
+
+
+def _oracle_cases():
+    for p, n in SCAN_GRID:
+        pr = make_params(p, n)
+        for k in range(3):
+            for eps in product((0, 1), repeat=n):
+                for m in range(3):
+                    yield pr, MCMonomial(m, k, eps)
+    pr = make_params(2, 60)
+    for mono in HUGE_MONOMIALS:
+        yield pr, mono
+
+
+def test_horner_and_digit_m_match_the_power_formulas():
+    """bidegree_of's Horner sum and enumerate_monomials' m, read off v, agree
+    with the per-digit-power formulas they replaced."""
+    for pr, mono in _oracle_cases():
+        i, j = power_bidegree(mono, pr)
+        assert bidegree_of(mono, pr) == (i, j), (pr, mono)
+        assert enumerate_monomials(i, j, pr) == [mono], (pr, mono)
+        assert power_m(j, mono.k, mono.eps, pr) == mono.m
 
 
 def test_enumerate_examples():
@@ -178,6 +211,26 @@ def test_nonzero_rows_read_each_row_back(monkeypatch):
         nonzero_rows(pr)
 
 
+def test_nonzero_rows_build_only_the_survivors(monkeypatch):
+    """Of the 67 gap sets at (2,10), only those with j <= d build a monomial,
+    each once, in its readback."""
+    pr = make_params(2, 10)
+    built = []
+    real = motcoh.MCMonomial
+    monkeypatch.setattr(motcoh, "MCMonomial",
+                        lambda *args: built.append(args) or real(*args))
+    rows = nonzero_rows(pr)
+    assert len(built) == len(rows) - 1 <= pr.n + 2
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_empty_rows_are_the_one_group(p, n):
+    pr = make_params(p, n)
+    for j in range(pr.d + 1):
+        for row in (even_row(j, pr), odd_row(j, pr)):
+            assert row.is_zero == (row is motcoh.ZERO_GROUP)
+
+
 @pytest.mark.parametrize("p,n", GRID)
 def test_torsion_label_only_with_m_zero(p, n):
     pr = make_params(p, n)
@@ -213,8 +266,7 @@ def test_enumeration_roundtrip_random_monomials(p, n):
             rng.randrange(3),
             tuple(rng.randrange(2) for _ in range(n)),
         )
-        bd = bidegree_of(mono, pr)
-        assert mono in enumerate_monomials(bd.i, bd.j, pr)
+        assert mono in enumerate_monomials(*bidegree_of(mono, pr), pr)
 
 
 def test_bidegree_eps_arity():
@@ -234,3 +286,8 @@ def test_renders():
     assert render_group(odd_row(pr.b, pr), pr) == "Z/3*mu"
     assert render_group(even_row(pr.b + 1, pr), pr) == "K_1^s*mu"
     assert render_group(even_row(1, pr), pr) == "0"
+    # at n = 1 delta and mu share eps (0,), and delta wins
+    pr1 = make_params(3, 1)
+    assert mu(pr1).eps == delta(pr1).eps == (0,)
+    assert render_monomial(mu(pr1), pr1) == "delta"
+    assert render_monomial(MCMonomial(0, 0, (0, 1, 0)), pr3) == "Q2(delta)"
